@@ -16,7 +16,6 @@ from .compiler import (
     choose_penalty,
     compile_linear_qubo,
     compile_pubo,
-    decode_qubo_bits,
     export_qubo,
     pubo_energy,
     quadratize,
@@ -92,7 +91,6 @@ __all__ = [
     "compile_linear_qubo",
     "pubo_energy",
     "qubo_energy",
-    "decode_qubo_bits",
     "export_qubo",
     # solvers
     "BruteForceResult",

@@ -365,8 +365,8 @@ def _cmd_iterate(args) -> dict:
         args.bits,
         args.iters,
         backend=args.backend,
-        initial_lo=float(lo[0]),
-        initial_hi=float(hi[0]),
+        initial_lo=lo,
+        initial_hi=hi,
         reads=args.reads,
         sweeps=args.sweeps,
         seed=args.seed,

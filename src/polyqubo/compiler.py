@@ -11,19 +11,28 @@ auxiliary bits held consistent by penalty terms
 
 which vanish exactly when aux = psi_i * psi_j and cost at least C otherwise.
 
+Both PUBO layers are array code.  :func:`compile_pubo` multiplies each
+coefficient tensor by products of the encoding's affine bit map,
+canonicalises the resulting index tuples as sorted, padded rows keyed by
+one integer each, and squares the residuals through the Gram matrix of
+their coefficients.  :func:`pubo_energy` splits every term into two halves
+and evaluates all terms of a block of states as one bilinear form over the
+half products.
+
 Degree-1 systems take a direct fast path (:func:`compile_linear_qubo`) that
 never builds the intermediate PUBO and needs no auxiliaries.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations
 
 import numpy as np
 
-from .encoding import BitEncoding, decode
+from .encoding import BitEncoding
 from .polysys import PolynomialSystem
 
 __all__ = [
@@ -36,7 +45,6 @@ __all__ = [
     "compile_linear_qubo",
     "pubo_energy",
     "qubo_energy",
-    "decode_qubo_bits",
     "export_qubo",
 ]
 
@@ -52,6 +60,16 @@ class PseudoBooleanPolynomial:
     terms: dict[tuple[int, ...], float]
     offset: float
     num_bits: int
+
+    def __post_init__(self):
+        coeffs = np.fromiter(self.terms.values(), dtype=float, count=len(self.terms))
+        bad = ~np.isfinite(coeffs)
+        if bad.any():
+            first = int(np.argmax(bad))
+            term = list(self.terms)[first]
+            raise ValueError(f"term {term} has non-finite coefficient {coeffs[first]!r}")
+        if not np.isfinite(self.offset):
+            raise ValueError(f"offset {self.offset!r} is not finite")
 
     @property
     def max_term_size(self) -> int:
@@ -88,6 +106,12 @@ class QuboMatrix:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
+        if not np.all(np.isfinite(matrix)):
+            i, j = np.argwhere(~np.isfinite(matrix))[0]
+            raise ValueError(f"matrix entry ({i}, {j}) is {matrix[i, j]!r}, not finite")
+        offset, penalty = float(offset), float(penalty)
+        if not (np.isfinite(offset) and np.isfinite(penalty)):
+            raise ValueError(f"offset {offset!r} and penalty {penalty!r} must be finite")
         if np.any(np.tril(matrix, -1) != 0):
             raise ValueError("matrix must be upper triangular")
         aux_pairs = tuple(tuple(p) for p in aux_pairs)
@@ -102,10 +126,10 @@ class QuboMatrix:
             if not (0 <= i < j < num_logical):
                 raise ValueError(f"aux pair ({i}, {j}) is not an ordered logical pair")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "offset", float(offset))
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "num_logical", int(num_logical))
         object.__setattr__(self, "aux_pairs", aux_pairs)
-        object.__setattr__(self, "penalty", float(penalty))
+        object.__setattr__(self, "penalty", penalty)
 
     @property
     def num_bits(self) -> int:
@@ -126,6 +150,9 @@ class QuboMatrix:
             f"QuboMatrix(logical={self.num_logical}, aux={self.num_aux}, "
             f"penalty={self.penalty:g}, offset={self.offset:g})"
         )
+
+
+_BLOCK_FLOATS = 1 << 15  # size of pubo_energy's per-block temporaries
 
 
 def _canon(indices) -> tuple[int, ...]:
@@ -157,13 +184,31 @@ def sparsify(raw_terms, num_bits: int) -> PseudoBooleanPolynomial:
     return PseudoBooleanPolynomial(terms=terms, offset=offset, num_bits=num_bits)
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    """Product of two multilinear polynomials with idempotence applied."""
-    out: dict[tuple[int, ...], float] = defaultdict(float)
-    for t1, c1 in p.items():
-        for t2, c2 in q.items():
-            out[_canon(t1 + t2)] += c1 * c2
-    return out
+def _group_sets(rows: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct canonical bit sets of padded index rows, in ascending tuple order.
+
+    Entries equal to ``num_bits`` are padding.  Each row is sorted and its
+    repeats become padding (psi^2 = psi), so a set is a sorted row padded on
+    the right.  Sets are grouped by one int64 mixed-radix key in base
+    ``num_bits + 1`` whose digits are index + 1 with padding as 0, so key
+    order is tuple order (a prefix sorts first).  Rows too wide for int64
+    keys are grouped by ``np.unique(axis=0)`` on the same digits, which gives
+    the same order.
+
+    Returns ``(sets, inverse)`` with row i canonicalising to ``sets[inverse[i]]``.
+    """
+    rows = np.sort(rows, axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = num_bits
+    rows.sort(axis=1)
+    base = num_bits + 1
+    digits = (rows + 1) % base
+    width = rows.shape[1]
+    if base**width <= np.iinfo(np.int64).max:
+        keys = digits @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(digits, axis=0, return_index=True, return_inverse=True)
+    return rows[first], inverse.reshape(-1)
 
 
 def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPolynomial:
@@ -175,54 +220,63 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
 
     up to floating-point rounding, with the constant offset carried so the
     identity holds with no free constant.
+
+    The variables are affine in the bits, x = A z with z = (psi_0, ...,
+    psi_{L-1}, 1): A holds ``scale_j * 2^r`` in variable j's block and the
+    offsets in the last column.  Multiplying the flattened ``coeffs[k]`` by
+    the k-fold products of A's entries gives the residuals' coefficients
+    over z-index tuples.  Index L (the constant) doubles as padding, so every
+    tuple is already a padded row of bit indices; grouping the rows by
+    canonical set (:func:`_group_sets`) gives the residual coefficient matrix
+    F (sets x equations).  The squared residuals summed over equations are
+    F F^T, whose upper triangle is grouped again by the union of each pair
+    of sets.  Terms come out in ascending tuple order, exact zeros dropped.
     """
     if enc.num_vars != system.num_variables:
         raise ValueError(
             f"encoding covers {enc.num_vars} variables, system coeffs[1] "
             f"expects {system.num_variables}"
         )
-    n_eq = system.num_equations
-    bits_of = [
-        {(): enc.offset[j], **{
-            (j * enc.bits + r,): enc.scale[j] * 2.0**r for r in range(enc.bits)
-        }}
-        for j in range(enc.num_vars)
-    ]
+    num_bits = enc.num_bits
+    amap = np.zeros((enc.num_vars, num_bits + 1))
+    for j in range(enc.num_vars):
+        amap[j, j * enc.bits : (j + 1) * enc.bits] = enc.scale[j] * enc.weights
+    amap[:, num_bits] = enc.offset
 
-    # cache bit-basis expansions of variable monomials, keyed by sorted index
-    # tuple (multiplication commutes, so order within the tuple is irrelevant)
-    monomials: dict[tuple[int, ...], dict] = {}
+    width = max(system.degree, 1)
+    rows, columns = [], []
+    # power[v, z] = prod_m A[v_m, z_m] over variable tuples v and z tuples z.
+    # Forming it before the coefficients makes an all-bit tuple's entry one
+    # rounded product c * (a a'), as in a monomial-by-monomial expansion, so
+    # exact cancellations between monomials stay exact.
+    power = np.ones((1, 1))
+    for order, tensor in enumerate(system.coeffs):
+        if order:
+            power = np.einsum("ab,cd->acbd", power, amap).reshape(enc.num_vars**order, -1)
+        columns.append(tensor.reshape(system.num_equations, -1) @ power)
+        count = (num_bits + 1) ** order
+        padded = np.full((count, width), num_bits)
+        padded[:, :order] = np.indices((num_bits + 1,) * order).reshape(order, count).T
+        rows.append(padded)
+    sets, inverse = _group_sets(np.concatenate(rows), num_bits)
+    residual = np.zeros((len(sets), system.num_equations))
+    np.add.at(residual, inverse, np.concatenate(columns, axis=1).T)
 
-    def monomial(var_indices: tuple[int, ...]) -> dict:
-        key = tuple(sorted(var_indices))
-        poly = monomials.get(key)
-        if poly is None:
-            poly = bits_of[key[0]]
-            for j in key[1:]:
-                poly = _poly_mul(poly, bits_of[j])
-            monomials[key] = poly
-        return poly
-
-    residual_polys = [defaultdict(float, {(): system.coeffs[0][i]}) for i in range(n_eq)]
-    for order in range(1, system.degree + 1):
-        tensor = system.coeffs[order]
-        for var_indices in product(range(system.num_variables), repeat=order):
-            coeffs_col = tensor[(slice(None),) + var_indices]
-            if not np.any(coeffs_col):
-                continue
-            poly = monomial(var_indices)
-            for i in range(n_eq):
-                ci = coeffs_col[i]
-                if ci == 0.0:
-                    continue
-                for t, c in poly.items():
-                    residual_polys[i][t] += ci * c
-
-    total: dict[tuple[int, ...], float] = defaultdict(float)
-    for rp in residual_polys:
-        for t, c in _poly_mul(rp, rp).items():
-            total[t] += c
-    return sparsify(total, num_bits=enc.num_bits)
+    # upper triangle of F F^T from separately rounded products: the fused
+    # multiply-adds of a BLAS product leave rounding dust (~1e-17) where
+    # equations cancel exactly, and each dust term is one more PUBO term and
+    # possibly one more auxiliary in quadratize
+    left, right = np.triu_indices(len(sets))
+    weights = (residual[left] * residual[right]).sum(axis=1)
+    weights[left != right] *= 2.0
+    sets, inverse = _group_sets(np.hstack([sets[left], sets[right]]), num_bits)
+    totals = np.bincount(inverse, weights=weights)
+    # the empty set, key 0, always comes first: the constant-times-constant pair
+    keep = np.flatnonzero(totals[1:] != 0.0) + 1
+    sizes = np.count_nonzero(sets[keep] != num_bits, axis=1)
+    names = [tuple(row[:k]) for row, k in zip(sets[keep].tolist(), sizes.tolist())]
+    terms = dict(zip(names, totals[keep].tolist()))
+    return PseudoBooleanPolynomial(terms=terms, offset=float(totals[0]), num_bits=num_bits)
 
 
 def choose_penalty(pubo: PseudoBooleanPolynomial) -> float:
@@ -338,16 +392,65 @@ def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatri
 
 
 def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
-    """Evaluate a PUBO at a bitstring of shape (L,) or a batch (..., L)."""
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim == 0 or psi.shape[-1] != pubo.num_bits:
+    """Evaluate a PUBO at a bitstring of shape (L,) or a batch (..., L).
+
+    Each term t of size k splits into the halves ``t[:ceil(k/2)]`` and
+    ``t[ceil(k/2):]``.  With the distinct halves (the empty one included) as
+    H columns, the coefficients fill an H x H matrix M, and for states whose
+    half products form the rows of P the energies are
+
+        offset + rowsum((P @ M) * P)
+
+    for any term size.  A state costs H^2 multiply-adds, which suits dense
+    polynomials such as those :func:`compile_pubo` returns (all 6195 terms
+    of up to 4 of 20 bits give H = 211, so H^2 is 7 times the term count).
+    States go through in blocks that keep each temporary near
+    ``_BLOCK_FLOATS`` floats.  The product runs in numpy's einsum loops
+    rather than BLAS, whose kernels change the summation order with a row's
+    position in the block: this way a state's energy is the same bits
+    however the batch is sliced.
+    """
+    psi = np.asarray(psi)
+    num_bits = pubo.num_bits
+    if psi.ndim == 0 or psi.shape[-1] != num_bits:
         raise ValueError(
             f"bitstring has length {psi.shape[-1] if psi.ndim else 0}, "
-            f"polynomial expects {pubo.num_bits}"
+            f"polynomial expects {num_bits}"
         )
-    energy = np.full(psi.shape[:-1], pubo.offset)
-    for t, c in pubo.terms.items():
-        energy = energy + c * np.prod(psi[..., list(t)], axis=-1)
+    sizes = np.fromiter(map(len, pubo.terms), dtype=np.intp, count=len(pubo.terms))
+    width = int(sizes.max(initial=1))
+    rows = np.full((len(sizes), width), num_bits)
+    rows[np.arange(width) < sizes[:, None]] = np.fromiter(
+        chain.from_iterable(pubo.terms), dtype=np.intp, count=int(sizes.sum())
+    )
+    first = np.arange(width) < (sizes[:, None] + 1) // 2
+    half = (width + 1) // 2
+    left = np.where(first, rows, num_bits)[:, :half]
+    right = np.sort(np.where(first, num_bits, rows), axis=1)[:, :half]
+    halves, inverse = _group_sets(np.concatenate([left, right]), num_bits)
+    pairs = np.zeros((len(halves), len(halves)))
+    np.add.at(
+        pairs,
+        (inverse[: len(sizes)], inverse[len(sizes) :]),
+        np.fromiter(pubo.terms.values(), dtype=float, count=len(sizes)),
+    )
+
+    flat = psi.reshape(math.prod(psi.shape[:-1]), num_bits)
+    block = max(1, _BLOCK_FLOATS // max(len(halves), num_bits + 1))
+    # column num_bits is the constant 1 that padding indices select
+    ext = np.ones((min(block, len(flat)), num_bits + 1))
+    energy = np.empty(len(flat))
+    for start in range(0, len(flat), block):
+        chunk = flat[start : start + block]
+        view = ext[: len(chunk)]
+        view[:, :num_bits] = chunk
+        prods = view.take(halves[:, 0], axis=1)
+        for c in range(1, halves.shape[1]):
+            prods *= view.take(halves[:, c], axis=1)
+        mixed = np.einsum("sh,hk->sk", prods, pairs)
+        mixed *= prods
+        energy[start : start + len(chunk)] = mixed.sum(axis=1)
+    energy = pubo.offset + energy.reshape(psi.shape[:-1])
     return float(energy) if energy.ndim == 0 else energy
 
 
@@ -361,12 +464,6 @@ def qubo_energy(qm: QuboMatrix, bits) -> float | np.ndarray:
         )
     energy = np.sum((bits @ qm.matrix) * bits, axis=-1) + qm.offset
     return float(energy) if energy.ndim == 0 else energy
-
-
-def decode_qubo_bits(qm: QuboMatrix, enc: BitEncoding, bits) -> np.ndarray:
-    """Decode the logical prefix of a full QUBO bit vector."""
-    bits = np.asarray(bits)
-    return decode(enc, bits[..., : qm.num_logical])
 
 
 def export_qubo(qm: QuboMatrix, path) -> None:

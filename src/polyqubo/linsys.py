@@ -279,8 +279,8 @@ def iterate_solve(
     num_iters: int,
     backend: str = "brute",
     *,
-    initial_lo: float = -1.0,
-    initial_hi: float = 1.0,
+    initial_lo: float | np.ndarray = -1.0,
+    initial_hi: float | np.ndarray = 1.0,
     reads: int = 1000,
     sweeps: int = 500,
     seed: int = 0,
@@ -289,12 +289,13 @@ def iterate_solve(
 ) -> IterationTrace:
     """Solve a linear system by repeatedly annealing and shrinking the window.
 
-    Starts from the window [initial_lo, initial_hi] on every component.  Each
-    iteration compiles the system on the current grid, takes the best sampled
-    state, records its relative residual, and re-grids one step either side
-    of the winner.  A winner sitting on the window boundary simply recenters
-    the next window there (flagged in the trace, not an error).  Stops early
-    once the residual drops below ``floor``.
+    Starts from the window [initial_lo, initial_hi], given as scalars for
+    every component or as per-component vectors.  Each iteration compiles
+    the system on the current grid, takes the best sampled state, records
+    its relative residual, and re-grids one step either side of the winner.
+    A winner sitting on the window boundary simply recenters the next window
+    there (flagged in the trace, not an error).  Stops early once the
+    residual drops below ``floor``.
     """
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)

@@ -271,6 +271,10 @@ def conjugate_gradient(
     the convergence check runs before each step, so a perfectly conditioned
     system finishes in one iteration.  Hitting ``max_iter`` (default 10 times
     the system size) returns the partial solution flagged unconverged.
+
+    Raises ``ValueError`` when ``p1`` is not symmetric (to a relative 1e-10
+    of its largest entry), or when a search direction p has curvature
+    ``p @ p1 @ p <= 0``, which shows ``p1`` is not positive definite.
     """
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -278,6 +282,9 @@ def conjugate_gradient(
         raise ValueError(f"shape mismatch: matrix {p1.shape}, constant {p0.shape}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    asymmetry = float(np.max(np.abs(p1 - p1.T), initial=0.0))
+    if asymmetry > 1e-10 * float(np.max(np.abs(p1), initial=0.0)):
+        raise ValueError(f"matrix is not symmetric (max |p1 - p1^T| = {asymmetry:.3e})")
     n = p0.shape[0]
     if max_iter is None:
         max_iter = 10 * n
@@ -293,7 +300,13 @@ def conjugate_gradient(
         if np.sqrt(rs) / b_norm <= tol:
             return CgReport(x, k, float(np.sqrt(rs) / b_norm), True)
         ap = p1 @ p
-        alpha = rs / float(p @ ap)
+        curvature = float(p @ ap)
+        if curvature <= 0.0:
+            raise ValueError(
+                f"matrix is not positive definite: p @ p1 @ p = {curvature!r} "
+                f"at iteration {k}"
+            )
+        alpha = rs / curvature
         x = x + alpha * p
         r = r - alpha * ap
         rs_new = float(r @ r)

@@ -69,6 +69,15 @@ class TestSolveLinear:
         report = json.loads(out.read_text())
         np.testing.assert_allclose(report["solution"], [1.5, -1.0], rtol=1e-6)
 
+    @pytest.mark.parametrize("diagonal", [[1.0, -1.0], [1.0, -2.0]])
+    def test_cg_on_indefinite_matrix_rejected(self, tmp_path, capsys, diagonal):
+        src = tmp_path / "indefinite.json"
+        save_system(PolynomialSystem([[-1.0, -1.0], np.diag(diagonal)]), src)
+        assert run(["solve-linear", src, "--backend", "cg",
+                    "--output", tmp_path / "report.json"]) == 1
+        assert "not positive definite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_degree_two_rejected(self, capsys):
         assert run(["solve-linear", QUAD_FIXTURE]) == 1
         assert "degree" in capsys.readouterr().err
@@ -143,8 +152,23 @@ class TestIterate:
         assert report["final_residual"] <= 1e-6
         assert len(report["iterations"]) <= 9
 
+    def test_per_component_window(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(["iterate", "--n", "2", "--bits", "3", "--iters", "2",
+                    "--lo", "0,-1", "--hi", "1,2", "--output", out])
+        assert code == 0
+        first = json.loads(out.read_text())["iterations"][0]
+        assert first["lo"] == [0.0, -1.0]
+        assert first["hi"] == [1.0, 2.0]
+
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("penalty", ["nan", "inf"])
+    def test_non_finite_penalty_rejected(self, tmp_path, capsys, penalty):
+        assert run(["solve-poly", QUAD_FIXTURE, "--penalty", penalty,
+                    "--output", tmp_path / "report.json"]) == 1
+        assert "not finite" in capsys.readouterr().err
+
     def test_missing_input(self, capsys):
         assert run(["solve-poly", "nope.json"]) == 1
         assert "not found" in capsys.readouterr().err

@@ -1,7 +1,12 @@
 """PUBO compilation, sparsification, quadratization, and the linear fast path."""
 
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR, random_encoding, random_system
 from polyqubo import (
@@ -23,6 +28,25 @@ from polyqubo import (
 )
 
 GROUND_10BIT = (0, 1, 1, 1, 0, 0, 0, 1, 1, 1)
+
+
+def naive_energy(pubo, states):
+    """Reference evaluation: one product per term, summed term by term."""
+    states = np.asarray(states, dtype=float)
+    energy = np.full(states.shape[:-1], pubo.offset)
+    for t, c in pubo.terms.items():
+        energy = energy + c * np.prod(states[..., list(t)], axis=-1)
+    return energy
+
+
+def dense_pubo(rng, num_bits, max_size):
+    """Every index set up to ``max_size`` bits, with Gaussian coefficients."""
+    raw = {
+        t: float(rng.standard_normal())
+        for k in range(1, max_size + 1)
+        for t in combinations(range(num_bits), k)
+    }
+    return sparsify(raw, num_bits=num_bits)
 
 
 class TestSparsify:
@@ -59,6 +83,13 @@ class TestSparsify:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             sparsify({(5,): 1.0}, num_bits=4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match=r"term \(1, 2\) has non-finite"):
+            sparsify({(0,): 1.0, (2, 1): value, (3,): np.nan}, num_bits=4)
+        with pytest.raises(ValueError, match="offset"):
+            sparsify([((), value), ((0,), 1.0)], num_bits=1)
 
 
 class TestCompilePubo:
@@ -121,6 +152,45 @@ class TestCompilePubo:
         pubo = compile_pubo(quad_system, quad_encoding)
         for t in pubo.terms:
             assert list(t) == sorted(set(t))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_eq=st.integers(1, 3),
+        num_vars=st.integers(1, 3),
+        bits=st.integers(1, 3),
+        degree=st.integers(1, 3),
+    )
+    def test_identity_and_canonical_terms_property(self, seed, num_eq, num_vars, bits, degree):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, num_eq, num_vars, degree)
+        enc = random_encoding(rng, num_vars, bits)
+        pubo = compile_pubo(system, enc)
+        states = all_bitstrings(enc.num_bits)
+        rhs = chi_squared(system, decode(enc, states))
+        scale = max(1.0, float(np.max(np.abs(rhs))))
+        assert np.max(np.abs(pubo_energy(pubo, states) - rhs)) <= 1e-9 * scale
+        keys = list(pubo.terms)
+        assert keys == sorted(set(keys))
+        assert all(t == tuple(sorted(set(t))) and t for t in keys)
+        assert all(c != 0.0 for c in pubo.terms.values())
+        # generic coefficients leave the top-order products uncancelled
+        assert pubo.max_term_size == min(2 * degree, enc.num_bits)
+
+    def test_repeated_calls_identical(self):
+        rng = np.random.default_rng(5)
+        system = random_system(rng, 3, 3, 2)
+        enc = random_encoding(rng, 3, 3)
+        first, second = compile_pubo(system, enc), compile_pubo(system, enc)
+        assert list(first.terms.items()) == list(second.terms.items())
+        assert first.offset == second.offset
+
+    def test_overflowing_coefficients_rejected(self, quad_system):
+        enc = from_range([-1e200, -1e200], [1e200, 1e200], 2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite"
+        ):
+            compile_pubo(quad_system, enc)
 
     def test_dimension_mismatch_rejected(self, quad_system):
         with pytest.raises(ValueError, match="variables"):
@@ -275,6 +345,74 @@ class TestEnergies:
         assert pubo_energy(pubo, [0, 1, 1, 1]) == 0.0
         assert pubo_energy(pubo, [0, 0, 0, 0]) == 4717.0
 
+    def test_single_bitstring_returns_float(self, quad_system, quad_encoding):
+        pubo = compile_pubo(quad_system, quad_encoding)
+        assert type(pubo_energy(pubo, np.array([0, 1, 1, 1], dtype=np.uint8))) is float
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), num_bits=st.integers(1, 10),
+           num_terms=st.integers(0, 30))
+    def test_matches_naive_term_sum_property(self, seed, num_bits, num_terms):
+        rng = np.random.default_rng(seed)
+        raw = [
+            (tuple(rng.integers(0, num_bits, size=rng.integers(1, 7))), float(rng.standard_normal()))
+            for _ in range(num_terms)
+        ]
+        pubo = sparsify(raw + [((), float(rng.standard_normal()))], num_bits=num_bits)
+        states = rng.integers(0, 2, size=(int(rng.integers(1, 300)), num_bits))
+        np.testing.assert_allclose(
+            pubo_energy(pubo, states), naive_energy(pubo, states), rtol=1e-12, atol=1e-12
+        )
+
+    def test_slicing_is_bit_identical(self):
+        # blocks of this PUBO hold 2^15 // 79 = 414 states, so the slices
+        # below start and end inside blocks
+        pubo = dense_pubo(np.random.default_rng(3), 12, 4)
+        states = all_bitstrings(12)
+        whole = pubo_energy(pubo, states)
+        cuts = [0, 1, 5, 700, 1303, 4096]
+        sliced = np.concatenate(
+            [pubo_energy(pubo, states[a:b]) for a, b in zip(cuts, cuts[1:])]
+        )
+        np.testing.assert_array_equal(sliced, whole)
+        singles = [pubo_energy(pubo, states[s]) for s in range(0, 4096, 97)]
+        np.testing.assert_array_equal(singles, whole[::97])
+        np.testing.assert_array_equal(pubo_energy(pubo, states.reshape(64, 64, 12)),
+                                      whole.reshape(64, 64))
+
+    def test_memory_bounded_on_full_enumeration(self):
+        # 2^16 states of a dense 16-bit quartic: half products for the whole
+        # batch would take 72 MB and a float copy of the input 8 MB; blocks
+        # keep the peak to the 0.5 MB result plus a few 2^15-float buffers
+        pubo = dense_pubo(np.random.default_rng(4), 16, 4)
+        states = all_bitstrings(16)
+        tracemalloc.start()
+        try:
+            energy = pubo_energy(pubo, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert energy.shape == (1 << 16,)
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_wide_index_keys_match_compact_labels(self):
+        # over 2^16 - 1 bits the half keys have base 2^16, and the 5-index
+        # halves of 9- and 10-bit terms span 2^80: as int64 they wrap, and
+        # halves differing only in their first index would collide
+        rng = np.random.default_rng(8)
+        compact = dense_pubo(rng, 11, 10)
+        num_bits = (1 << 16) - 1
+        labels = np.sort(rng.choice(num_bits, size=11, replace=False))
+        wide = sparsify({tuple(labels[list(t)].tolist()): c for t, c in compact.terms.items()},
+                        num_bits=num_bits)
+        states = rng.integers(0, 2, size=(5, 11))
+        spread = np.zeros((5, num_bits), dtype=np.uint8)
+        spread[:, labels] = states
+        np.testing.assert_allclose(pubo_energy(wide, spread), pubo_energy(compact, states),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(pubo_energy(wide, spread), naive_energy(compact, states),
+                                   rtol=1e-12)
+
     def test_length_mismatch_rejected(self, quad_system, quad_encoding):
         pubo = compile_pubo(quad_system, quad_encoding)
         with pytest.raises(ValueError, match="length"):
@@ -296,6 +434,13 @@ class TestQuboMatrixValidation:
     def test_bad_aux_pair_rejected(self):
         with pytest.raises(ValueError, match="ordered logical pair"):
             QuboMatrix(np.zeros((3, 3)), 0.0, 2, aux_pairs=[(1, 1)])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+            QuboMatrix([[1.0, value], [0.0, value]], 0.0, 2)
+        with pytest.raises(ValueError, match="offset"):
+            QuboMatrix(np.eye(2), value, 2)
 
 
 class TestExport:

@@ -242,3 +242,14 @@ class TestConjugateGradient:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):
             conjugate_gradient(np.eye(2), np.ones(2), tol=0.0)
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            conjugate_gradient([[2.0, 1.0], [0.0, 2.0]], [-1.0, -1.0])
+
+    @pytest.mark.parametrize("diagonal", [[1.0, -1.0], [1.0, -2.0]])
+    def test_non_positive_curvature_rejected(self, diagonal):
+        # zero curvature would divide by zero; negative curvature would let
+        # an indefinite matrix report converged=True
+        with pytest.raises(ValueError, match="not positive definite"):
+            conjugate_gradient(np.diag(diagonal), [-1.0, -1.0])
