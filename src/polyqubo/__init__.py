@@ -65,6 +65,7 @@ from .solvers import (
     brute_force,
     conjugate_gradient,
     simulated_anneal,
+    solve,
 )
 
 __all__ = [
@@ -101,6 +102,7 @@ __all__ = [
     "all_bitstrings",
     "brute_force",
     "simulated_anneal",
+    "solve",
     "conjugate_gradient",
     # regression
     "RegressionDataset",

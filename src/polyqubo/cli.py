@@ -41,9 +41,7 @@ from .regression import (
     polynomial_basis,
     save_dataset_csv,
 )
-from .solvers import AnnealSchedule, brute_force, conjugate_gradient, simulated_anneal
-
-BRUTE_BIT_LIMIT = 24
+from .solvers import AnnealSchedule, BruteForceResult, conjugate_gradient, solve
 
 
 class ConfigError(Exception):
@@ -72,14 +70,6 @@ def _parse_vec(text: str, num_vars: int, flag: str) -> np.ndarray:
             f"{flag} lists {len(parts)} values but the problem has {num_vars} variables"
         )
     return np.array(parts)
-
-
-def _check_brute_size(num_bits: int) -> None:
-    if num_bits > BRUTE_BIT_LIMIT:
-        raise ConfigError(
-            f"brute-force backend is limited to {BRUTE_BIT_LIMIT} bits, "
-            f"this problem needs {num_bits}"
-        )
 
 
 def _schedule(args) -> AnnealSchedule:
@@ -131,7 +121,6 @@ def _add_common(p, *, encoding=True, solver=True):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--t-hot", type=float, default=None, help="override hot temperature")
         p.add_argument("--t-cold", type=float, default=None, help="override cold temperature")
-        p.add_argument("--penalty", type=float, default=None, help="override penalty weight C")
     p.add_argument("--output", default=None, help="report path (default: per-command name)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -144,6 +133,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve-poly", help="solve a polynomial system from a JSON file")
     p.add_argument("input", help="system JSON file")
     p.add_argument("--aux", choices=["lazy", "all"], default="lazy")
+    p.add_argument("--penalty", type=float, default=None, help="override penalty weight C")
     _add_common(p)
 
     p = sub.add_parser("solve-linear", help="solve a degree-1 system from a JSON file")
@@ -181,15 +171,15 @@ def build_parser() -> _Parser:
 
 
 def _solve_backend(qm, args):
-    """Shared brute/anneal dispatch; returns (bits, energy, extras dict)."""
-    if args.backend == "brute":
-        _check_brute_size(qm.num_bits)
-        result = brute_force(qm)
-        return result.bits, result.energy, {"backend": "brute", "num_ground": result.num_ground}
-    samples = simulated_anneal(
-        qm, reads=args.reads, sweeps=args.sweeps, seed=args.seed, schedule=_schedule(args)
+    """Solve with the flagged backend; returns (bits, energy, solver report)."""
+    schedule = _schedule(args)
+    bits, energy, result = solve(
+        qm, args.backend, reads=args.reads, sweeps=args.sweeps, seed=args.seed,
+        schedule=schedule,
     )
-    t_hot, t_cold = _schedule(args).resolve(qm)
+    if isinstance(result, BruteForceResult):
+        return bits, energy, {"backend": "brute", "num_ground": result.num_ground}
+    t_hot, t_cold = schedule.resolve(qm)
     extras = {
         "backend": "anneal",
         "reads": args.reads,
@@ -197,9 +187,9 @@ def _solve_backend(qm, args):
         "seed": args.seed,
         "t_hot": t_hot,
         "t_cold": t_cold,
-        "ground_fraction": samples.ground_fraction(),
+        "ground_fraction": result.ground_fraction(),
     }
-    return np.array(samples.best.bits, dtype=np.uint8), samples.best.energy, extras
+    return bits, energy, extras
 
 
 def _cmd_solve_poly(args) -> dict:
@@ -280,8 +270,6 @@ def _cmd_regress(args) -> dict:
     enc = _encoding_for(args, basis.num_params)
     if args.backend == "cg":
         return _cg_report(args, normal_equations(data, basis))
-    if args.backend == "brute":
-        _check_brute_size(enc.num_bits)
     fit = fit_qubo(
         data,
         basis,
@@ -290,6 +278,7 @@ def _cmd_regress(args) -> dict:
         reads=args.reads,
         sweeps=args.sweeps,
         seed=args.seed,
+        schedule=_schedule(args),
     )
     solver_info = {"backend": args.backend}
     if fit.samples is not None:
@@ -321,11 +310,6 @@ def _cmd_sweep(args) -> dict | list:
         raise ConfigError(f"bad sweep value list {text!r}") from err
     if args.backend == "cg":
         raise ConfigError("sweep supports brute and anneal backends")
-    if args.backend == "brute":
-        for v in values:
-            n = v if args.kind == "size" else (args.n or _defaults_n(args.kind))
-            r = v if args.kind == "precision" else (args.bits or 2)
-            _check_brute_size(int(n) * int(r))
     rows = run_sweep(
         args.kind,
         values,
@@ -336,6 +320,7 @@ def _cmd_sweep(args) -> dict | list:
         reads=args.reads,
         sweeps=args.sweeps,
         seed=args.seed,
+        schedule=_schedule(args),
     )
     # keep reports strict JSON: blank cells are null, not NaN
     clean = [
@@ -345,18 +330,12 @@ def _cmd_sweep(args) -> dict | list:
     return {"config": _echo_config(args), "columns": list(SWEEP_COLUMNS), "rows": clean}
 
 
-def _defaults_n(kind: str) -> int:
-    return {"size": 12, "condition": 12, "precision": 4}[kind]
-
-
 def _cmd_iterate(args) -> dict:
     spec = ConditionedSpec(args.n, args.kappa, seed=args.instance_seed)
     p1 = make_conditioned_matrix(spec)
     p0 = make_rhs(args.n)
     if args.backend == "cg":
         raise ConfigError("iterate refines a sampling backend; use brute or anneal")
-    if args.backend == "brute":
-        _check_brute_size(args.n * args.bits)
     lo = _parse_vec(args.lo, args.n, "--lo")
     hi = _parse_vec(args.hi, args.n, "--hi")
     trace = iterate_solve(
@@ -370,6 +349,7 @@ def _cmd_iterate(args) -> dict:
         reads=args.reads,
         sweeps=args.sweeps,
         seed=args.seed,
+        schedule=_schedule(args),
     )
     return {
         "config": _echo_config(args),

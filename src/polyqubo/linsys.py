@@ -30,7 +30,7 @@ import numpy as np
 from .compiler import compile_linear_qubo
 from .encoding import BitEncoding, decode, from_range, nearest_bits, refine
 from .polysys import PolynomialSystem
-from .solvers import brute_force, conjugate_gradient, simulated_anneal
+from .solvers import AnnealSchedule, SampleSet, conjugate_gradient, solve
 
 __all__ = [
     "ConditionedSpec",
@@ -130,18 +130,6 @@ def forward_error_minimum(p1, p0, enc: BitEncoding) -> tuple[np.ndarray, float]:
     return point, relative_residual(p1, p0, point)
 
 
-def _solve_qubo(qm, backend, reads, sweeps, seed, max_bits):
-    """Returns (bits, energy, hit_fraction, evaluations)."""
-    if backend == "brute":
-        result = brute_force(qm, max_bits=max_bits)
-        return result.bits, result.energy, float("nan"), 2**qm.num_bits
-    if backend == "anneal":
-        samples = simulated_anneal(qm, reads=reads, sweeps=sweeps, seed=seed)
-        bits = np.array(samples.best.bits, dtype=np.uint8)
-        return bits, samples.best.energy, samples.ground_fraction(), reads
-    raise ValueError(f"unknown backend {backend!r}; use 'brute' or 'anneal'")
-
-
 _SWEEP_DEFAULTS = {
     # per-kind fixed parameters; the swept one is ignored here
     "size": {"kappa": 1.1, "bits": 2},
@@ -161,7 +149,7 @@ def run_sweep(
     reads: int = 1000,
     sweeps: int = 500,
     seed: int = 0,
-    max_bits: int = 24,
+    schedule: AnnealSchedule | None = None,
 ) -> list[dict]:
     """Scaling study over problem size, condition number, or search precision.
 
@@ -172,8 +160,9 @@ def run_sweep(
     points, so a condition sweep varies the spectrum over identical
     eigenvectors and a precision sweep refines one fixed instance; the
     annealer seed is per point (base seed + index) so points stay
-    independent when run concurrently.  Each point's search range spans
-    exactly the min/max components of its reference solution.
+    independent when run concurrently; ``schedule`` is its temperature
+    ladder.  Each point's search range spans exactly the min/max components
+    of its reference solution.
 
     Returns one row per point with the columns in :data:`SWEEP_COLUMNS`.
     The forward-error prediction is reported for size and precision sweeps;
@@ -200,13 +189,17 @@ def run_sweep(
         lo, hi = solution_range(p1, p0)
         enc = from_range(lo, hi, int(point["bits"]), num_vars=n)
         qm = compile_linear_qubo(PolynomialSystem([p0, p1]), enc)
-        bits_won, energy, hit, _ = _solve_qubo(qm, backend, reads, sweeps, seed + index, max_bits)
+        bits_won, energy, result = solve(
+            qm, backend, reads=reads, sweeps=sweeps, seed=seed + index, schedule=schedule
+        )
         x = decode(enc, bits_won[: enc.num_bits])
         row = {
             "param": value,
             "min_energy": float(energy),
             "rel_residual": relative_residual(p1, p0, x),
-            "hit_fraction": hit,
+            "hit_fraction": (
+                result.ground_fraction() if isinstance(result, SampleSet) else float("nan")
+            ),
             "forward_error_residual": (
                 forward_error_minimum(p1, p0, enc)[1] if kind != "condition" else float("nan")
             ),
@@ -284,7 +277,7 @@ def iterate_solve(
     reads: int = 1000,
     sweeps: int = 500,
     seed: int = 0,
-    max_bits: int = 24,
+    schedule: AnnealSchedule | None = None,
     floor: float = 1e-14,
 ) -> IterationTrace:
     """Solve a linear system by repeatedly annealing and shrinking the window.
@@ -295,7 +288,7 @@ def iterate_solve(
     its relative residual, and re-grids one step either side of the winner.
     A winner sitting on the window boundary simply recenters the next window
     there (flagged in the trace, not an error).  Stops early once the
-    residual drops below ``floor``.
+    residual drops below ``floor``.  ``schedule`` is the annealer's ladder.
     """
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -305,7 +298,10 @@ def iterate_solve(
     steps = []
     for iteration in range(num_iters):
         qm = compile_linear_qubo(system, enc)
-        bits_won, _, hit, evals = _solve_qubo(qm, backend, reads, sweeps, seed + iteration, max_bits)
+        bits_won, _, result = solve(
+            qm, backend, reads=reads, sweeps=sweeps, seed=seed + iteration, schedule=schedule
+        )
+        sampled = isinstance(result, SampleSet)  # enumeration has no hit fraction
         x = decode(enc, bits_won)
         on_boundary = bool(
             np.any(np.isclose(x, enc.lo, rtol=0, atol=1e-12))
@@ -317,8 +313,8 @@ def iterate_solve(
                 bits=bits_won,
                 x=x,
                 rel_residual=relative_residual(p1, p0, x),
-                hit_fraction=hit,
-                reads=evals,
+                hit_fraction=result.ground_fraction() if sampled else float("nan"),
+                reads=result.total_reads if sampled else 2**qm.num_bits,
                 recentered=on_boundary,
             )
         )

@@ -7,7 +7,9 @@ grid turn into the degree-1 normal-equation system
 
 whose root is the GLS estimator.  That system feeds the linear QUBO
 compiler, so annealing over a bit-encoded parameter grid performs the fit.
-The inverse covariance is always applied through Cholesky solves.
+The inverse covariance is never formed: with S = L L^T (Cholesky), one solve
+whitens [W | w_y] = L^-1 [F | y], so the system reads W^T W p - W^T w_y = 0,
+and a residual r weighs r^T S^-1 r = ||L^-1 r||^2.
 
 The synthetic generator produces a correlated series with mean
 8 + 4 x + 7 x^2, variance mean/10, and correlation decaying geometrically
@@ -20,12 +22,11 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .compiler import compile_linear_qubo, qubo_energy
+from .compiler import compile_linear_qubo
 from .encoding import BitEncoding, decode
 from .polysys import PolynomialSystem
-from .solvers import SampleSet, brute_force, simulated_anneal
+from .solvers import AnnealSchedule, SampleSet, solve
 
 __all__ = [
     "RegressionDataset",
@@ -107,15 +108,17 @@ def polynomial_basis(x_grid, degree: int) -> BasisSet:
     return BasisSet(design, names=tuple(f"x^{k}" for k in range(degree + 1)))
 
 
-def _cholesky(data: RegressionDataset):
+def _whiten(data: RegressionDataset, m: np.ndarray) -> np.ndarray:
+    """L^-1 m for the Cholesky factor L of the covariance, S = L L^T."""
     try:
-        return cho_factor(data.covariance, lower=True)
+        factor = np.linalg.cholesky(data.covariance)
     except np.linalg.LinAlgError as err:
         cond = np.linalg.cond(data.covariance)
         raise ValueError(
             f"covariance is not positive definite (condition number ~ {cond:.3e}); "
             "cannot form its inverse"
         ) from err
+    return np.linalg.solve(factor, m)
 
 
 def normal_equations(data: RegressionDataset, basis: BasisSet) -> PolynomialSystem:
@@ -125,18 +128,16 @@ def normal_equations(data: RegressionDataset, basis: BasisSet) -> PolynomialSyst
     term carries the minus sign so the root convention matches the rest of
     the pipeline (constant + matrix @ p = 0).
     """
-    factor = _cholesky(data)
-    f = basis.design
-    p1 = f.T @ cho_solve(factor, f)
-    p0 = -(f.T @ cho_solve(factor, data.y_mean))
-    return PolynomialSystem([p0, p1])
+    whitened = _whiten(data, np.column_stack([basis.design, data.y_mean]))
+    w, w_y = whitened[:, :-1], whitened[:, -1]
+    return PolynomialSystem([-(w.T @ w_y), w.T @ w])
 
 
 def gls_objective(data: RegressionDataset, basis: BasisSet, params) -> float:
     """Weighted residual (F p - y)^T S^-1 (F p - y), constants included."""
     params = np.asarray(params, dtype=float)
-    resid = basis.design @ params - data.y_mean
-    return float(resid @ cho_solve(_cholesky(data), resid))
+    whitened = _whiten(data, basis.design @ params - data.y_mean)
+    return float(whitened @ whitened)
 
 
 def generate_dataset(
@@ -194,12 +195,13 @@ def fit_qubo(
     reads: int = 1000,
     sweeps: int = 500,
     seed: int = 0,
-    max_bits: int = 24,
+    schedule: AnnealSchedule | None = None,
 ) -> FitResult:
     """Fit by compiling the normal equations to a QUBO and minimizing it.
 
-    ``backend`` is ``"brute"`` (exact) or ``"anneal"``; the best sampled
-    state decodes to the fitted parameters.
+    ``backend`` is ``"brute"`` (exact) or ``"anneal"`` (see
+    :func:`~polyqubo.solvers.solve`); the best sampled state decodes to the
+    fitted parameters.
     """
     system = normal_equations(data, basis)
     if enc.num_vars != basis.num_params:
@@ -208,24 +210,16 @@ def fit_qubo(
             f"{basis.num_params} parameters"
         )
     qm = compile_linear_qubo(system, enc)
-    samples = None
-    if backend == "brute":
-        result = brute_force(qm, max_bits=max_bits)
-        bits = result.bits
-        energy = result.energy
-    elif backend == "anneal":
-        samples = simulated_anneal(qm, reads=reads, sweeps=sweeps, seed=seed)
-        bits = np.array(samples.best.bits, dtype=np.uint8)
-        energy = samples.best.energy
-    else:
-        raise ValueError(f"unknown backend {backend!r}; use 'brute' or 'anneal'")
+    bits, energy, result = solve(
+        qm, backend, reads=reads, sweeps=sweeps, seed=seed, schedule=schedule
+    )
     params = decode(enc, bits)
     return FitResult(
         params=params,
         bits=bits,
         qubo_energy=float(energy),
         gls_rss=gls_objective(data, basis, params),
-        samples=samples,
+        samples=result if isinstance(result, SampleSet) else None,
     )
 
 

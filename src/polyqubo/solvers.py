@@ -5,13 +5,15 @@ objective's constant offset, so a reported energy is directly a residual sum
 of squares.
 
 * :func:`brute_force` — exact enumeration of every bitstring, the ground
-  truth for anything small enough to enumerate.
+  truth for objectives of at most ``_ENUMERATION_LIMIT`` = 24 bits.
 * :func:`simulated_anneal` — single-flip Metropolis annealing, the software
   stand-in for annealing hardware.  Reads are independent trajectories with
   per-read generators seeded ``seed + read_index``, so chunked, parallel,
   and serial execution all produce the identical sample set.
 * :func:`conjugate_gradient` — classical iterative reference for symmetric
   positive-definite linear systems.
+
+:func:`solve` is the one place that picks ``"brute"`` or ``"anneal"`` by name.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import PseudoBooleanPolynomial, QuboMatrix, pubo_energy
+from .compiler import PseudoBooleanPolynomial, QuboMatrix, pubo_energy, qubo_energy
 
 __all__ = [
     "BruteForceResult",
@@ -32,22 +34,26 @@ __all__ = [
     "all_bitstrings",
     "brute_force",
     "simulated_anneal",
+    "solve",
     "conjugate_gradient",
 ]
 
+_ENUMERATION_LIMIT = 24  # brute_force enumerates objectives of at most this many bits
 _CHUNK_BITS = 16  # enumerate at most 2**16 states per vectorized block
 
 
 def all_bitstrings(num_bits: int) -> np.ndarray:
-    """All bitstrings as a (2^L, L) uint8 matrix; row s has bit i = (s >> i) & 1."""
+    """All bitstrings as a (2^L, L) uint8 matrix; row s has bit i = (s >> i) & 1.
+
+    The 20-bit cap bounds the table's memory; it is not the enumeration limit.
+    """
     if num_bits < 0 or num_bits > 20:
         raise ValueError(f"refusing to materialize 2^{num_bits} bitstrings at once")
-    states = np.arange(1 << num_bits, dtype=np.int64)
-    return ((states[:, None] >> np.arange(num_bits)) & 1).astype(np.uint8)
+    return _bits_of_ints(np.arange(1 << num_bits, dtype=np.int64), num_bits)
 
 
 def _bits_of_ints(ints: np.ndarray, num_bits: int) -> np.ndarray:
-    return ((ints[:, None] >> np.arange(num_bits)) & 1).astype(float)
+    return ((ints[:, None] >> np.arange(num_bits)) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +72,13 @@ class BruteForceResult:
         order = np.argsort(self.energies, kind="stable")[:k]
         num_bits = len(self.bits)
         return [
-            (float(self.energies[s]), _bits_of_ints(np.array([s]), num_bits)[0].astype(np.uint8))
+            (float(self.energies[s]), _bits_of_ints(np.array([s]), num_bits)[0])
             for s in order
         ]
 
 
 def brute_force(
     objective: PseudoBooleanPolynomial | QuboMatrix,
-    max_bits: int = 24,
     spectrum: bool = False,
 ) -> BruteForceResult:
     """Exact search over every bitstring of a PUBO or QUBO objective.
@@ -83,12 +88,12 @@ def brute_force(
     array indexed by state integer is returned as well.
     """
     num_bits = objective.num_bits
-    if num_bits > max_bits:
+    if num_bits > _ENUMERATION_LIMIT:
         raise ValueError(
-            f"objective has {num_bits} bits; 2^{num_bits} = {2**num_bits:.3e} "
-            f"states exceeds the enumeration limit of {max_bits} bits"
+            f"objective has {num_bits} bits; its 2^{num_bits} states exceed "
+            f"the enumeration limit of {_ENUMERATION_LIMIT} bits"
         )
-    is_qubo = isinstance(objective, QuboMatrix)
+    energy_of = qubo_energy if isinstance(objective, QuboMatrix) else pubo_energy
     total = 1 << num_bits
     chunk = min(total, 1 << _CHUNK_BITS)
     best_energy = np.inf
@@ -98,10 +103,7 @@ def brute_force(
     for start in range(0, total, chunk):
         ints = np.arange(start, min(start + chunk, total), dtype=np.int64)
         bits = _bits_of_ints(ints, num_bits)
-        if is_qubo:
-            energies = np.sum((bits @ objective.matrix) * bits, axis=1) + objective.offset
-        else:
-            energies = pubo_energy(objective, bits)
+        energies = energy_of(objective, bits)
         if spectrum:
             full[start : start + len(ints)] = energies
         lo = float(energies.min())
@@ -111,7 +113,7 @@ def brute_force(
             num_ground = int(np.count_nonzero(energies == lo))
         elif lo == best_energy:
             num_ground += int(np.count_nonzero(energies == lo))
-    ground_bits = _bits_of_ints(np.array([best_state]), num_bits)[0].astype(np.uint8)
+    ground_bits = _bits_of_ints(np.array([best_state]), num_bits)[0]
     return BruteForceResult(ground_bits, best_energy, num_ground, full)
 
 
@@ -235,7 +237,7 @@ def simulated_anneal(
                 delta = (1.0 - 2.0 * col) * (diag[v] + states @ coupling[:, v])
                 accept = uniforms[:, s, v] < np.exp(np.minimum(-delta / t, 0.0))
                 states[:, v] = np.where(accept, 1.0 - col, col)
-        energies = np.sum((states @ qm.matrix) * states, axis=1) + qm.offset
+        energies = qubo_energy(qm, states)
         keys = np.packbits(states.astype(np.uint8), axis=1)
         for r in range(size):
             key = keys[r].tobytes()
@@ -250,6 +252,30 @@ def simulated_anneal(
         for bits, energy, count in sorted(tally.values(), key=lambda e: (e[1], e[0]))
     )
     return SampleSet(records, total_reads=reads, rng_seed=seed)
+
+
+def solve(
+    qm: QuboMatrix,
+    backend: str,
+    *,
+    reads: int,
+    sweeps: int,
+    seed: int,
+    schedule: AnnealSchedule | None = None,
+) -> tuple[np.ndarray, float, BruteForceResult | SampleSet]:
+    """Minimize a QUBO with the backend named ``"brute"`` or ``"anneal"``.
+
+    Returns the winning bits (uint8), their energy and the backend's own
+    result, a :class:`BruteForceResult` or :class:`SampleSet`.  The keyword
+    arguments go to :func:`simulated_anneal`; enumeration ignores them.
+    """
+    if backend == "brute":
+        result = brute_force(qm)
+        return result.bits, result.energy, result
+    if backend == "anneal":
+        samples = simulated_anneal(qm, reads=reads, sweeps=sweeps, seed=seed, schedule=schedule)
+        return np.array(samples.best.bits, dtype=np.uint8), samples.best.energy, samples
+    raise ValueError(f"unknown backend {backend!r}; use 'brute' or 'anneal'")
 
 
 @dataclass(frozen=True, eq=False)

@@ -168,7 +168,7 @@ def test_criterion_07_quadratization_exactness():
         qm = quadratize(pubo)  # penalty defaults to choose_penalty
         n_aux = qm.num_aux
         total = num_bits + n_aux
-        energies = brute_force(qm, max_bits=24, spectrum=True).energies
+        energies = brute_force(qm, spectrum=True).energies
         table = energies.reshape(2**n_aux, 2**num_bits)  # [aux int, logical int]
         logical_states = all_bitstrings(num_bits)
         target = pubo_energy(pubo, logical_states)

@@ -1,19 +1,30 @@
 """Command-line workflows: reports, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, REPO_ROOT
 from polyqubo import chi_squared, load_system, save_system, PolynomialSystem
 from polyqubo.cli import main
 
 QUAD_FIXTURE = str(FIXTURE_DIR / "quadratic_2x2.json")
+LINEAR = "<linear system file>"  # stands for a 3-variable degree-1 system
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def linear_argv(argv, tmp_path):
+    """argv with LINEAR replaced by the path of a saved 3-variable linear system."""
+    src = tmp_path / "linear.json"
+    save_system(PolynomialSystem([[-1.0, 0.5, 2.0], np.diag([2.0, 1.0, 3.0])]), src)
+    return [src if a == LINEAR else a for a in argv]
 
 
 class TestSolvePoly:
@@ -190,3 +201,57 @@ class TestErrorPaths:
         monkeypatch.setenv("POLYQUBO_OUTDIR", str(tmp_path))
         assert run(["solve-poly", QUAD_FIXTURE, "--lo", "0", "--hi", "3"]) == 0
         assert (tmp_path / "solve_poly_report.json").exists()
+
+
+class TestSolverFlags:
+    @pytest.mark.parametrize("argv, num_bits", [
+        (["solve-linear", LINEAR, "--bits", "9"], 27),
+        (["sweep", "--kind", "size", "--sizes", "2,13"], 26),
+        (["iterate", "--n", "7", "--bits", "4"], 28),
+    ])
+    def test_oversized_brute_request_names_limit(self, tmp_path, capsys, argv, num_bits):
+        out = tmp_path / "report.json"
+        assert run(linear_argv(argv, tmp_path) + ["--backend", "brute", "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert "24" in err and str(num_bits) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["regress", "--noiseless", "--basis", "poly:2", "--bits", "4", "--lo", "0",
+         "--hi", "15", "--reads", "300", "--sweeps", "100"],
+        ["iterate", "--reads", "100", "--sweeps", "100"],
+        ["sweep", "--kind", "condition", "--kappas", "1.1,10", "--n", "4",
+         "--reads", "100", "--sweeps", "50"],
+    ])
+    def test_temperature_flags_reach_annealer(self, tmp_path, argv):
+        default, cold = tmp_path / "default.json", tmp_path / "cold.json"
+        argv = argv + ["--backend", "anneal"]
+        assert run(argv + ["--output", default]) == 0
+        assert run(argv + ["--t-hot", "1e-9", "--t-cold", "1e-12", "--output", cold]) == 0
+        reports = [json.loads(path.read_text()) for path in (default, cold)]
+        for report in reports:
+            del report["config"]
+        assert reports[0] != reports[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-linear", LINEAR],
+        ["regress", "--noiseless"],
+        ["sweep", "--kind", "size", "--sizes", "2"],
+        ["iterate"],
+    ])
+    def test_penalty_only_on_solve_poly(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        assert run(linear_argv(argv, tmp_path) + ["--penalty", "-5", "--output", out]) == 1
+        assert "--penalty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_import_leaves_out_scipy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        code = "import sys, polyqubo, polyqubo.cli; print('scipy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"

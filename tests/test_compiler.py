@@ -281,6 +281,32 @@ class TestQuadratize:
                 assert len(winners) == 1
                 np.testing.assert_array_equal(winners[0], products)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bits=st.integers(2, 5),
+        num_terms=st.integers(1, 6),
+        aux=st.sampled_from(["lazy", "all"]),
+    )
+    def test_exactness_property(self, seed, num_bits, num_terms, aux):
+        rng = np.random.default_rng(seed)
+        raw = {}
+        for _ in range(num_terms):
+            size = int(rng.integers(1, min(num_bits, 4) + 1))
+            idx = tuple(sorted(rng.choice(num_bits, size=size, replace=False)))
+            raw[idx] = float(rng.standard_normal())
+        pubo = sparsify(raw, num_bits=num_bits)
+        qm = quadratize(pubo, aux=aux)
+        table = brute_force(qm, spectrum=True).energies.reshape(2**qm.num_aux, 2**num_bits)
+        logical = all_bitstrings(num_bits).astype(np.int64)
+        mins = table.min(axis=0)  # over auxiliaries, per logical state integer
+        np.testing.assert_allclose(mins, pubo_energy(pubo, logical), rtol=1e-9, atol=1e-9)
+        products = np.zeros(2**num_bits, dtype=np.int64)
+        for k, (i, j) in enumerate(qm.aux_pairs):
+            products |= (logical[:, i] & logical[:, j]) << k
+        assert np.all((table == mins).sum(axis=0) == 1)
+        np.testing.assert_array_equal(table.argmin(axis=0), products)
+
     def test_oversized_term_rejected(self):
         pubo = sparsify({(0, 1, 2, 3, 4): 1.0}, num_bits=5)
         with pytest.raises(ValueError, match="not implemented"):

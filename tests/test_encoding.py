@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyqubo import BitEncoding, all_bitstrings, decode, from_range, nearest_bits, refine
 
@@ -137,6 +139,23 @@ class TestNearestBits:
         enc = from_range([0.0, -1.0], [3.0, 1.0], 2)
         x = decode(enc, [1, 0, 0, 1])
         np.testing.assert_array_equal(nearest_bits(enc, x), [1, 0, 0, 1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        windows=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)), min_size=1, max_size=4
+        ),
+        bits=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, windows, bits, seed):
+        lo = np.array([w[0] for w in windows])
+        enc = from_range(lo, lo + np.array([w[1] for w in windows]), bits)
+        psi = np.random.default_rng(seed).integers(0, 2, size=enc.num_bits).astype(np.uint8)
+        point = decode(enc, psi)
+        snapped = nearest_bits(enc, point)
+        np.testing.assert_array_equal(snapped, psi)
+        np.testing.assert_array_equal(decode(enc, snapped), point)
 
     def test_clips_outside_range(self):
         enc = from_range([0.0], [3.0], 2)

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_encoding, random_system
 from polyqubo import (
     AnnealSchedule,
+    BruteForceResult,
     PolynomialSystem,
     QuboMatrix,
     SampleSet,
@@ -19,6 +20,7 @@ from polyqubo import (
     quadratize,
     qubo_energy,
     simulated_anneal,
+    solve,
     sparsify,
 )
 from polyqubo.linsys import ConditionedSpec, make_conditioned_matrix, make_rhs
@@ -73,6 +75,12 @@ class TestBruteForce:
     def test_over_limit_rejected_with_size(self):
         pubo = sparsify({(0,): 1.0}, num_bits=30)
         with pytest.raises(ValueError, match="2\\^30"):
+            brute_force(pubo)
+
+    def test_over_limit_message_for_float_overflowing_state_count(self):
+        # 2^1100 does not fit a float; the message must not try to print it as one
+        pubo = sparsify({(0,): 1.0}, num_bits=1100)
+        with pytest.raises(ValueError, match="1100 bits.*limit of 24 bits"):
             brute_force(pubo)
 
     def test_chunked_enumeration_consistent(self, quad_qubo):
@@ -158,6 +166,33 @@ class TestSimulatedAnneal:
             simulated_anneal(quad_qubo, reads=0)
         with pytest.raises(ValueError, match=">= 1"):
             simulated_anneal(quad_qubo, reads=5, sweeps=0)
+
+
+class TestSolve:
+    def test_brute_returns_enumeration_result(self, quad_qubo):
+        bits, energy, result = solve(quad_qubo, "brute", reads=1, sweeps=1, seed=0)
+        assert isinstance(result, BruteForceResult)
+        assert bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, brute_force(quad_qubo).bits)
+        assert energy == result.energy
+
+    def test_anneal_passes_schedule_through(self, quad_qubo):
+        cold = AnnealSchedule(t_hot=1e-9, t_cold=1e-12)
+        bits, energy, samples = solve(
+            quad_qubo, "anneal", reads=50, sweeps=20, seed=4, schedule=cold
+        )
+        direct = simulated_anneal(quad_qubo, reads=50, sweeps=20, seed=4, schedule=cold)
+        assert samples.to_json() == direct.to_json()
+        default = simulated_anneal(quad_qubo, reads=50, sweeps=20, seed=4)
+        assert samples.to_json() != default.to_json()
+        assert bits.dtype == np.uint8
+        assert tuple(bits) == direct.best.bits
+        assert energy == direct.best.energy
+
+    @pytest.mark.parametrize("backend", ["cg", "quantum", "Brute"])
+    def test_unknown_backend_rejected(self, quad_qubo, backend):
+        with pytest.raises(ValueError, match="'brute' or 'anneal'"):
+            solve(quad_qubo, backend, reads=1, sweeps=1, seed=0)
 
 
 class TestAnnealSchedule:
