@@ -17,7 +17,9 @@ canonicalises the resulting index tuples as sorted, padded rows keyed by
 one integer each, and squares the residuals through the Gram matrix of
 their coefficients.  :func:`pubo_energy` splits every term into two halves
 and evaluates all terms of a block of states as one bilinear form over the
-half products.
+half products.  :func:`quadratize` maps every term and penalty entry to its
+matrix cell with index arrays and sums them with one unbuffered
+``np.add.at`` in term order, as a loop of additions would.
 
 Degree-1 systems take a direct fast path (:func:`compile_linear_qubo`) that
 never builds the intermediate PUBO and needs no auxiliaries.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -158,6 +160,20 @@ _BLOCK_FLOATS = 1 << 15  # size of pubo_energy's per-block temporaries
 def _canon(indices) -> tuple[int, ...]:
     """Canonical index set: idempotence applied, sorted ascending."""
     return tuple(sorted(set(indices)))
+
+
+def _term_rows(pubo: PseudoBooleanPolynomial, min_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Term sizes, and the terms as rows of indices padded with ``num_bits``.
+
+    Rows are at least ``min_width`` wide and keep ``pubo.terms`` order.
+    """
+    sizes = np.fromiter(map(len, pubo.terms), dtype=np.intp, count=len(pubo.terms))
+    width = max(min_width, int(sizes.max(initial=0)))
+    rows = np.full((len(sizes), width), pubo.num_bits)
+    rows[np.arange(width) < sizes[:, None]] = np.fromiter(
+        chain.from_iterable(pubo.terms), dtype=np.intp, count=int(sizes.sum())
+    )
+    return sizes, rows
 
 
 def sparsify(raw_terms, num_bits: int) -> PseudoBooleanPolynomial:
@@ -310,8 +326,9 @@ def quadratize(
             cubic/quartic terms; ``"all"`` allocates every logical pair in
             lexicographic order (half L(L-1) auxiliaries).
     """
-    if pubo.max_term_size > 4:
-        worst = max(pubo.terms, key=len)
+    sizes, rows = _term_rows(pubo, 4)
+    if rows.shape[1] > 4:
+        worst = list(pubo.terms)[int(np.argmax(sizes))]
         raise ValueError(
             f"term {worst} has {len(worst)} bits; a second substitution round "
             "would be required to quadratize it, which is not implemented"
@@ -324,41 +341,34 @@ def quadratize(
 
     n_log = pubo.num_bits
     if aux == "all":
-        pairs = list(combinations(range(n_log), 2))
+        pairs = np.transpose(np.triu_indices(n_log, 1))
     else:
-        needed: set[tuple[int, int]] = set()
-        for t in pubo.terms:
-            if len(t) == 3:
-                needed.add((t[0], t[1]))
-            elif len(t) == 4:
-                needed.add((t[0], t[1]))
-                needed.add((t[2], t[3]))
-        pairs = sorted(needed)
-    aux_index = {pair: n_log + k for k, pair in enumerate(pairs)}
-
-    size = n_log + len(pairs)
-    q = np.zeros((size, size))
-
-    def add(i: int, j: int, value: float) -> None:
-        q[min(i, j), max(i, j)] += value
-
-    for t, coeff in pubo.terms.items():
-        if len(t) == 1:
-            add(t[0], t[0], coeff)
-        elif len(t) == 2:
-            add(t[0], t[1], coeff)
-        elif len(t) == 3:
-            add(aux_index[(t[0], t[1])], t[2], coeff)
-        else:
-            add(aux_index[(t[0], t[1])], aux_index[(t[2], t[3])], coeff)
-
-    for (i, j), a in aux_index.items():
-        add(i, j, c_pen)
-        add(i, a, -2.0 * c_pen)
-        add(j, a, -2.0 * c_pen)
-        add(a, a, 3.0 * c_pen)
-
-    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=pairs, penalty=c_pen)
+        substituted = np.concatenate([rows[sizes >= 3, :2], rows[sizes == 4, 2:]])
+        keys = np.unique(substituted[:, 0] * n_log + substituted[:, 1])
+        pairs = np.stack(np.divmod(keys, n_log), axis=1)
+    num_aux = len(pairs)
+    aux_of = np.zeros((n_log + 1, n_log + 1), dtype=np.intp)
+    aux_of[pairs[:, 0], pairs[:, 1]] = n_log + np.arange(num_aux)
+    # each term is a product of two factors: bits, or auxiliaries for pairs
+    left = np.where(sizes >= 3, aux_of[rows[:, 0], rows[:, 1]], rows[:, 0])
+    last = rows[np.arange(len(sizes)), sizes - 1]
+    right = np.where(sizes == 4, aux_of[rows[:, 2], rows[:, 3]], last)
+    # penalty entries follow the terms, pair by pair, in the order
+    # (i, j), (i, aux), (j, aux), (aux, aux)
+    i, j = pairs.T
+    a = n_log + np.arange(num_aux)
+    cells = (
+        np.concatenate([np.minimum(left, right), np.stack([i, i, j, a], axis=1).ravel()]),
+        np.concatenate([np.maximum(left, right), np.stack([j, a, a, a], axis=1).ravel()]),
+    )
+    values = np.concatenate([
+        np.fromiter(pubo.terms.values(), dtype=float, count=len(sizes)),
+        np.tile([c_pen, -2.0 * c_pen, -2.0 * c_pen, 3.0 * c_pen], num_aux),
+    ])
+    q = np.zeros((n_log + num_aux, n_log + num_aux))
+    # unbuffered and in order: every entry sums its contributions in sequence
+    np.add.at(q, cells, values)
+    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=pairs.tolist(), penalty=c_pen)
 
 
 def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatrix:
@@ -417,12 +427,8 @@ def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
             f"bitstring has length {psi.shape[-1] if psi.ndim else 0}, "
             f"polynomial expects {num_bits}"
         )
-    sizes = np.fromiter(map(len, pubo.terms), dtype=np.intp, count=len(pubo.terms))
-    width = int(sizes.max(initial=1))
-    rows = np.full((len(sizes), width), num_bits)
-    rows[np.arange(width) < sizes[:, None]] = np.fromiter(
-        chain.from_iterable(pubo.terms), dtype=np.intp, count=int(sizes.sum())
-    )
+    sizes, rows = _term_rows(pubo, 1)
+    width = rows.shape[1]
     first = np.arange(width) < (sizes[:, None] + 1) // 2
     half = (width + 1) // 2
     left = np.where(first, rows, num_bits)[:, :half]

@@ -30,7 +30,7 @@ import numpy as np
 from .compiler import compile_linear_qubo
 from .encoding import BitEncoding, decode, from_range, nearest_bits, refine
 from .polysys import PolynomialSystem
-from .solvers import AnnealSchedule, SampleSet, conjugate_gradient, solve
+from .solvers import AnnealSchedule, SampleSet, check_enumerable, conjugate_gradient, solve
 
 __all__ = [
     "ConditionedSpec",
@@ -178,10 +178,14 @@ def run_sweep(
     if bits is not None:
         fixed["bits"] = bits
 
+    swept = {"size": "size", "condition": "kappa", "precision": "bits"}[kind]
+    points = [{**fixed, swept: value} for value in values]
+    if backend == "brute":  # refuse an oversized point before solving any
+        for point in points:
+            check_enumerable(int(point["size"]) * int(point["bits"]))
     rows = []
-    for index, value in enumerate(values):
-        point = dict(fixed)
-        point[{"size": "size", "condition": "kappa", "precision": "bits"}[kind]] = value
+    for index, point in enumerate(points):
+        value = point[swept]
         n = int(point["size"])
         spec = ConditionedSpec(n, float(point["kappa"]), seed=seed)
         p1 = make_conditioned_matrix(spec)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from polyqubo import PolynomialSystem, from_range
+from polyqubo import PolynomialSystem, compile_pubo, from_range
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
@@ -43,3 +44,15 @@ def random_encoding(rng, num_vars, bits):
     lo = rng.uniform(-2.0, -0.1, size=num_vars)
     hi = rng.uniform(0.1, 2.0, size=num_vars)
     return from_range(lo, hi, bits)
+
+
+def planted_pubo(rng, num_eq, num_vars, bits):
+    """Integer-coefficient quadratic system with a root planted on the grid
+    [-2, 2] at ``bits`` bits per variable, compiled to its PUBO: the shape
+    of the seeded systems the benchmark's polynomial pipeline solves."""
+    root = -2.0 + 4.0 / (2**bits - 1) * rng.integers(0, 2**bits, num_vars)
+    lin = rng.integers(-3, 4, (num_eq, num_vars)).astype(float)
+    quad = rng.integers(-3, 4, (num_eq, num_vars, num_vars)).astype(float)
+    const = -(lin @ root + np.einsum("ijk,j,k->i", quad, root, root))
+    enc = from_range(-2.0, 2.0, bits, num_vars=num_vars)
+    return compile_pubo(PolynomialSystem([const, lin, quad]), enc)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_DIR, random_encoding, random_system
+from conftest import GOLDEN_DIR, planted_pubo, random_encoding, random_system
 from polyqubo import (
     PolynomialSystem,
     QuboMatrix,
@@ -37,6 +37,34 @@ def naive_energy(pubo, states):
     for t, c in pubo.terms.items():
         energy = energy + c * np.prod(states[..., list(t)], axis=-1)
     return energy
+
+
+def reference_quadratize(pubo, penalty, aux):
+    """quadratize's contract as one addition per term, then per penalty entry."""
+    c_pen = choose_penalty(pubo) if penalty is None else penalty
+    n_log = pubo.num_bits
+    if aux == "all":
+        pairs = list(combinations(range(n_log), 2))
+    else:
+        pairs = sorted(
+            {t[:2] for t in pubo.terms if len(t) >= 3} | {t[2:] for t in pubo.terms if len(t) == 4}
+        )
+    aux_index = {pair: n_log + k for k, pair in enumerate(pairs)}
+    q = np.zeros((n_log + len(pairs),) * 2)
+
+    def add(i, j, value):
+        q[min(i, j), max(i, j)] += value
+
+    for t, coeff in pubo.terms.items():
+        left = aux_index[t[:2]] if len(t) >= 3 else t[0]
+        right = aux_index[t[2:]] if len(t) == 4 else t[-1]
+        add(left, right, coeff)
+    for (i, j), a in aux_index.items():
+        add(i, j, c_pen)
+        add(i, a, -2.0 * c_pen)
+        add(j, a, -2.0 * c_pen)
+        add(a, a, 3.0 * c_pen)
+    return q, tuple(pairs)
 
 
 def dense_pubo(rng, num_bits, max_size):
@@ -306,6 +334,38 @@ class TestQuadratize:
             products |= (logical[:, i] & logical[:, j]) << k
         assert np.all((table == mins).sum(axis=0) == 1)
         np.testing.assert_array_equal(table.argmin(axis=0), products)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bits=st.integers(0, 7),
+        num_terms=st.integers(0, 30),
+        aux=st.sampled_from(["lazy", "all"]),
+        penalty=st.sampled_from([None, 0.3, 7.25]),
+    )
+    def test_matrix_matches_reference_loop(self, seed, num_bits, num_terms, aux, penalty):
+        rng = np.random.default_rng(seed)
+        raw = {}
+        for _ in range(num_terms if num_bits else 0):
+            size = int(rng.integers(1, min(num_bits, 4) + 1))
+            idx = tuple(sorted(rng.choice(num_bits, size=size, replace=False).tolist()))
+            raw[idx] = float(rng.standard_normal())
+        pubo = sparsify(raw, num_bits=num_bits)
+        qm = quadratize(pubo, penalty=penalty, aux=aux)
+        matrix, pairs = reference_quadratize(pubo, penalty, aux)
+        assert qm.matrix.tobytes() == matrix.tobytes()
+        assert qm.aux_pairs == pairs
+        assert all(type(i) is int for pair in qm.aux_pairs for i in pair)
+
+    @pytest.mark.parametrize("aux", ["lazy", "all"])
+    def test_planted_matrix_matches_reference_loop(self, aux):
+        rng = np.random.default_rng(7)
+        for shape in ((3, 3, 4), (4, 4, 5)):
+            pubo = planted_pubo(rng, *shape)
+            qm = quadratize(pubo, aux=aux)
+            matrix, pairs = reference_quadratize(pubo, None, aux)
+            assert qm.matrix.tobytes() == matrix.tobytes()
+            assert qm.aux_pairs == pairs
 
     def test_oversized_term_rejected(self):
         pubo = sparsify({(0, 1, 2, 3, 4): 1.0}, num_bits=5)

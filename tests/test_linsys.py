@@ -21,6 +21,7 @@ from polyqubo import (
     solution_range,
     sweep_to_csv,
 )
+from polyqubo import linsys
 from polyqubo.linsys import SWEEP_COLUMNS
 
 
@@ -222,6 +223,24 @@ class TestRunSweep:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             run_sweep("volume", [1])
+
+    @pytest.mark.parametrize(
+        "kind, values, fixed, num_bits",
+        [("size", [2, 13], {}, 26), ("precision", [2, 7], {"size": 4}, 28)],
+    )
+    def test_oversized_brute_point_rejected_before_any_solve(
+        self, monkeypatch, kind, values, fixed, num_bits
+    ):
+        calls = []
+        solve = linsys.solve
+        monkeypatch.setattr(linsys, "solve", lambda *a, **k: calls.append(a) or solve(*a, **k))
+        with pytest.raises(ValueError, match=f"has {num_bits} bits.*limit of 24 bits"):
+            run_sweep(kind, values, backend="brute", seed=0, **fixed)
+        assert calls == []
+
+    def test_oversized_anneal_point_allowed(self):
+        rows = run_sweep("size", [13], backend="anneal", reads=2, sweeps=1, seed=0)
+        assert len(rows) == 1
 
     def test_csv_columns_and_blanks(self, tmp_path):
         rows = run_sweep("condition", [1.1], size=3, backend="brute", seed=0)

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_encoding, random_system
+from conftest import planted_pubo, random_encoding, random_system
 from polyqubo import (
     AnnealSchedule,
     BruteForceResult,
     PolynomialSystem,
     QuboMatrix,
+    SampleRecord,
     SampleSet,
     all_bitstrings,
     brute_force,
@@ -21,9 +24,48 @@ from polyqubo import (
     qubo_energy,
     simulated_anneal,
     solve,
+    solvers,
     sparsify,
 )
 from polyqubo.linsys import ConditionedSpec, make_conditioned_matrix, make_rhs
+
+
+def reference_anneal(qm, reads, sweeps, seed, schedule=None, read_chunk=512):
+    """simulated_anneal's contract as one Metropolis step per (sweep, bit)."""
+    temps = (schedule or AnnealSchedule()).temperatures(qm, sweeps)
+    n = qm.num_bits
+    coupling = qm.matrix + qm.matrix.T
+    np.fill_diagonal(coupling, 0.0)
+    diag = np.diag(qm.matrix).copy()
+    counts = {}
+    for start in range(0, reads, read_chunk):
+        size = min(read_chunk, reads - start)
+        states = np.empty((size, n))
+        uniforms = np.empty((size, sweeps, n))
+        for r in range(size):
+            rng = np.random.default_rng(seed + start + r)
+            states[r] = rng.integers(0, 2, size=n)
+            uniforms[r] = rng.random((sweeps, n))
+        for s in range(sweeps):
+            t = temps[s]
+            for v in range(n):
+                col = states[:, v]
+                delta = (1.0 - 2.0 * col) * (diag[v] + states @ coupling[:, v])
+                accept = uniforms[:, s, v] < np.exp(np.minimum(-delta / t, 0.0))
+                states[:, v] = np.where(accept, 1.0 - col, col)
+        for row in states:
+            bits = tuple(int(b) for b in row)
+            counts[bits] = counts.get(bits, 0) + 1
+    records = [SampleRecord(bits, qubo_energy(qm, bits), c) for bits, c in counts.items()]
+    records.sort(key=lambda r: (r.energy, r.bits))
+    return SampleSet(tuple(records), total_reads=reads, rng_seed=seed)
+
+
+@pytest.fixture(scope="module")
+def poly_qubos():
+    """Quadratized planted systems of 76 and 208 bits, as the benchmark solves."""
+    rng = np.random.default_rng(7)
+    return [quadratize(planted_pubo(rng, *shape)) for shape in ((3, 3, 4), (4, 4, 5))]
 
 
 @pytest.fixture
@@ -143,6 +185,80 @@ class TestSimulatedAnneal:
         serial = simulated_anneal(quad_qubo, reads=40, sweeps=30, seed=5, read_chunk=1)
         batched = simulated_anneal(quad_qubo, reads=40, sweeps=30, seed=5, read_chunk=64)
         assert serial.to_json() == batched.to_json()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bits=st.integers(0, 9),
+        pattern=st.sampled_from(["zero", "dense", "sparse"]),
+        reads=st.integers(1, 12),
+        sweeps=st.integers(1, 6),
+        read_chunk=st.sampled_from([1, 3, 512]),
+        ladder=st.sampled_from([None, (5.0, 0.01), (1e-9, 1e-12), (1e6, 1e3)]),
+    )
+    def test_matches_per_bit_reference(
+        self, seed, num_bits, pattern, reads, sweeps, read_chunk, ladder
+    ):
+        rng = np.random.default_rng(seed)
+        matrix = np.triu(rng.standard_normal((num_bits, num_bits)))
+        if pattern == "zero":
+            matrix[:] = 0.0
+        elif pattern == "sparse":
+            matrix *= rng.random(matrix.shape) < rng.uniform(0.05, 0.5)
+        qm = QuboMatrix(matrix, float(rng.standard_normal()), num_bits)
+        schedule = AnnealSchedule(*ladder) if ladder else None
+        args = dict(reads=reads, sweeps=sweeps, seed=seed % 1000, schedule=schedule,
+                    read_chunk=read_chunk)
+        assert simulated_anneal(qm, **args).to_json() == reference_anneal(qm, **args).to_json()
+
+    def test_matches_per_bit_reference_on_poly_qubo(self, poly_qubos):
+        qm = poly_qubos[0]
+        args = dict(reads=16, sweeps=20, seed=3)
+        assert simulated_anneal(qm, **args).to_json() == reference_anneal(qm, **args).to_json()
+
+    def test_uniform_blocks_keep_the_stream(self, quad_qubo, monkeypatch):
+        # blocks of one sweep draw the same uniforms as one block of all sweeps
+        whole = simulated_anneal(quad_qubo, reads=20, sweeps=15, seed=1)
+        monkeypatch.setattr(solvers, "_UNIFORM_FLOATS", 1)
+        assert simulated_anneal(quad_qubo, reads=20, sweeps=15, seed=1).to_json() == whole.to_json()
+
+    @pytest.mark.parametrize("reads", [1, 7, 64])
+    def test_stacked_fields_equal_per_bit_fields(self, poly_qubos, reads):
+        # the annealer's one matmul per run gives each bit the field that
+        # states @ coupling[:, v] gives it, to the last bit
+        for qm in poly_qubos:
+            coupling = qm.matrix + qm.matrix.T
+            np.fill_diagonal(coupling, 0.0)
+            states = np.random.default_rng(reads).integers(0, 2, (reads, qm.num_bits)) * 1.0
+            for a, b in ((0, qm.num_bits), (qm.num_logical, qm.num_bits), (3, 4)):
+                fields = solvers._run_fields(states, coupling.T, slice(a, b))
+                for v in range(a, b):
+                    assert fields[:, v - a].tobytes() == (states @ coupling[:, v]).tobytes()
+            for v in range(qm.num_bits):  # a lone bit's run is its index
+                fields = solvers._run_fields(states, coupling.T, v)
+                assert fields.tobytes() == (states @ coupling[:, v]).tobytes()
+
+    def test_runs_are_maximal_and_uncoupled(self, poly_qubos):
+        for qm in poly_qubos:
+            coupling = qm.matrix + qm.matrix.T
+            runs = solvers._uncoupled_runs(coupling)
+            assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]]
+            assert runs[-1][1] == qm.num_bits
+            for a, b in runs:
+                block = coupling[a:b, a:b]
+                assert not np.any(block - np.diag(np.diag(block)))
+                if b < qm.num_bits:  # bit b is coupled to the run, so it ends it
+                    assert np.any(coupling[a:b, b])
+            assert len(runs) < qm.num_bits
+
+    def test_poly_qubo_chunking_does_not_change_results(self, poly_qubos):
+        for qm, reads in zip(poly_qubos, (64, 16)):
+            reports = {
+                simulated_anneal(qm, reads=reads, sweeps=30, seed=3, read_chunk=chunk).to_json()
+                for chunk in (1, 7, 512)
+            }
+            assert len(reports) == 1
+            assert len(SampleSet.from_json(reports.pop()).records) > 1
 
     def test_counts_sum_to_reads(self, quad_qubo):
         samples = simulated_anneal(quad_qubo, reads=123, sweeps=40, seed=2)
