@@ -14,7 +14,7 @@ for kappa in (1.0, 10.0, 100.0, 1e3, 1e4):
     p1 = pq.make_conditioned_matrix(pq.ConditionedSpec(12, kappa, seed=0))
     report = pq.conjugate_gradient(p1, pq.make_rhs(12), tol=1e-6)
     print(f"  kappa={kappa:>8.1f}: iterations={report.iterations:3d}  "
-          f"relative residual={report.relative_residual:.2e}")
+          f"residual norm ratio={report.residual_norm_ratio:.2e}")
 print("note: 12 distinct eigenvalues exhaust the Krylov space by iteration 12,")
 print("so the count saturates there instead of growing with conditioning")
 

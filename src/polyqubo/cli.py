@@ -243,7 +243,7 @@ def _cg_report(args, system) -> dict:
     if not report.converged:
         raise SolverError(
             f"conjugate gradient did not converge in {report.iterations} iterations "
-            f"(relative residual {report.relative_residual:.3e})"
+            f"(residual norm ratio {report.residual_norm_ratio:.3e})"
         )
     return {
         "config": _echo_config(args),

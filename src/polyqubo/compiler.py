@@ -21,15 +21,15 @@ half products.  :func:`quadratize` maps every term and penalty entry to its
 matrix cell with index arrays and sums them with one unbuffered
 ``np.add.at`` in term order, as a loop of additions would.
 
-Degree-1 systems take a direct fast path (:func:`compile_linear_qubo`) that
-never builds the intermediate PUBO and needs no auxiliaries.
+Degree-1 systems take the same compiler (:func:`compile_linear_qubo`): their
+PUBO terms have at most two bits, so quadratization adds no auxiliaries.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -154,7 +154,7 @@ class QuboMatrix:
         )
 
 
-_BLOCK_FLOATS = 1 << 15  # size of pubo_energy's per-block temporaries
+_BLOCK_FLOATS = 1 << 15  # size of per-block temporaries in compile_pubo and pubo_energy
 
 
 def _canon(indices) -> tuple[int, ...]:
@@ -281,9 +281,14 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
     # upper triangle of F F^T from separately rounded products: the fused
     # multiply-adds of a BLAS product leave rounding dust (~1e-17) where
     # equations cancel exactly, and each dust term is one more PUBO term and
-    # possibly one more auxiliary in quadratize
+    # possibly one more auxiliary in quadratize.  Blocks of pairs bound the
+    # temporaries; each weight is its own row sum, so blocking changes no bit.
     left, right = np.triu_indices(len(sets))
-    weights = (residual[left] * residual[right]).sum(axis=1)
+    weights = np.empty(len(left))
+    block = max(1, _BLOCK_FLOATS // system.num_equations)
+    for start in range(0, len(left), block):
+        pair = slice(start, start + block)
+        weights[pair] = (residual[left[pair]] * residual[right[pair]]).sum(axis=1)
     weights[left != right] *= 2.0
     sets, inverse = _group_sets(np.hstack([sets[left], sets[right]]), num_bits)
     totals = np.bincount(inverse, weights=weights)
@@ -372,33 +377,17 @@ def quadratize(
 
 
 def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatrix:
-    """Direct QUBO for a degree-1 system, no auxiliaries.
+    """QUBO for a degree-1 system: :func:`quadratize` of :func:`compile_pubo`.
 
-    The energy at any bitstring equals the residual sum of squares
-    ``||coeffs[1] @ x + coeffs[0]||^2`` at the decoded point, offset carried.
+    Terms have at most two bits, so there are no auxiliaries and penalty 0.
+    The energy at any bitstring equals ``||coeffs[1] @ x + coeffs[0]||^2``
+    at the decoded point, offset carried.
     """
     if system.degree != 1:
         raise ValueError(
-            f"linear fast path requires a degree-1 system, got degree {system.degree}"
+            f"compile_linear_qubo requires a degree-1 system, got degree {system.degree}"
         )
-    if enc.num_vars != system.num_variables:
-        raise ValueError(
-            f"encoding covers {enc.num_vars} variables, system coeffs[1] "
-            f"expects {system.num_variables}"
-        )
-    p1 = system.coeffs[1]
-    # residual as an affine map of the bit vector: F(psi) = const + gain @ psi
-    const = system.coeffs[0] + p1 @ enc.offset
-    gain = np.zeros((system.num_equations, enc.num_bits))
-    for j in range(enc.num_vars):
-        gain[:, j * enc.bits : (j + 1) * enc.bits] = np.outer(
-            p1[:, j] * enc.scale[j], enc.weights
-        )
-    normal = gain.T @ gain
-    linear = 2.0 * (const @ gain) + np.diag(normal)
-    q = np.triu(2.0 * normal, 1)
-    np.fill_diagonal(q, linear)
-    return QuboMatrix(q, float(const @ const), enc.num_bits)
+    return replace(quadratize(compile_pubo(system, enc)), penalty=0.0)
 
 
 def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:

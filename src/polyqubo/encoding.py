@@ -159,7 +159,7 @@ def refine(enc: BitEncoding, x_star) -> BitEncoding:
 
     The new range per variable is one grid step either side of the incumbent,
     ``[x*_j - scale_j, x*_j + scale_j]``, re-gridded with the same bit count.
-    Spacing therefore contracts by the fixed factor 2 / (2^R - 1) per call.
+    Spacing scales by the fixed factor 2 / (2^R - 1) per call: it contracts only for R >= 2.
 
     ``x_star`` must decode from the current grid: each component has to sit
     within half a grid step of a representable value.

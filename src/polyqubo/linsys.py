@@ -293,7 +293,10 @@ def iterate_solve(
     A winner sitting on the window boundary simply recenters the next window
     there (flagged in the trace, not an error).  Stops early once the
     residual drops below ``floor``.  ``schedule`` is the annealer's ladder.
+    ``bits`` must be at least 2: with one bit every round doubles the window.
     """
+    if bits < 2:
+        raise ValueError(f"iterative refinement needs bits >= 2 to shrink the window, got {bits}")
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     n = p0.shape[0]

@@ -341,11 +341,11 @@ def solve(
 
 @dataclass(frozen=True, eq=False)
 class CgReport:
-    """Conjugate-gradient outcome for a symmetric positive-definite solve."""
+    """Conjugate-gradient outcome for an SPD solve; ``residual_norm_ratio`` is ||r|| / ||b||."""
 
     solution: np.ndarray
     iterations: int
-    relative_residual: float
+    residual_norm_ratio: float
     converged: bool
 
 

@@ -89,6 +89,20 @@ class TestSolveLinear:
         assert "not positive definite" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_brute_matches_solve_poly(self, tmp_path):
+        # one compiler: the same degree-1 system gives the same QUBO either way
+        rng = np.random.default_rng(5)
+        src = tmp_path / "linear.json"
+        save_system(PolynomialSystem([rng.normal(size=3), rng.normal(size=(3, 3))]), src)
+        reports = []
+        for command in ("solve-poly", "solve-linear"):
+            out = tmp_path / f"{command}.json"
+            assert run([command, src, "--bits", "4", "--backend", "brute", "--output", out]) == 0
+            reports.append(json.loads(out.read_text()))
+        poly, linear = reports
+        assert poly["energy"] == linear["energy"]
+        assert poly["solution"] == linear["solution"]
+
     def test_degree_two_rejected(self, capsys):
         assert run(["solve-linear", QUAD_FIXTURE]) == 1
         assert "degree" in capsys.readouterr().err
@@ -171,6 +185,13 @@ class TestIterate:
         first = json.loads(out.read_text())["iterations"][0]
         assert first["lo"] == [0.0, -1.0]
         assert first["hi"] == [1.0, 2.0]
+
+    def test_one_bit_rejected(self, tmp_path, capsys):
+        # one bit doubles the window every round instead of shrinking it
+        out = tmp_path / "report.json"
+        assert run(["iterate", "--n", "2", "--bits", "1", "--iters", "5", "--output", out]) == 1
+        assert "bits >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorPaths:

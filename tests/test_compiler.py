@@ -1,4 +1,4 @@
-"""PUBO compilation, sparsification, quadratization, and the linear fast path."""
+"""PUBO compilation, sparsification, quadratization, and the degree-1 entry point."""
 
 import tracemalloc
 from itertools import combinations
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR, planted_pubo, random_encoding, random_system
+from polyqubo import compiler
 from polyqubo import (
     PolynomialSystem,
     QuboMatrix,
@@ -213,6 +214,37 @@ class TestCompilePubo:
         assert list(first.terms.items()) == list(second.terms.items())
         assert first.offset == second.offset
 
+    @pytest.mark.parametrize("block_floats", [1, 7, 64])
+    def test_gram_blocks_change_no_bit(self, monkeypatch, block_floats):
+        rng = np.random.default_rng(12)
+        cases = [(random_system(rng, 4, 3, degree), random_encoding(rng, 3, 3))
+                 for degree in (1, 2, 3)]
+
+        def build():
+            pubos = [compile_pubo(system, enc) for system, enc in cases]
+            return pubos + [planted_pubo(np.random.default_rng(13), 3, 3, 4)]
+
+        expected = build()
+        monkeypatch.setattr(compiler, "_BLOCK_FLOATS", block_floats)
+        for a, b in zip(expected, build()):
+            assert list(a.terms.items()) == list(b.terms.items())
+            assert a.offset == b.offset
+
+    def test_gram_step_memory_bounded(self):
+        # 100 variables at 2 bits give 201 bit sets and 20 301 pairs over 100
+        # equations: one pairs x equations temporary would take 16 MB each
+        rng = np.random.default_rng(6)
+        system = random_system(rng, 100, 100, 1)
+        enc = random_encoding(rng, 100, 2)
+        tracemalloc.start()
+        try:
+            pubo = compile_pubo(system, enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pubo.max_term_size == 2
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_overflowing_coefficients_rejected(self, quad_system):
         enc = from_range([-1e200, -1e200], [1e200, 1e200], 2)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -410,6 +442,7 @@ class TestLinearFastPath:
             system = random_system(rng, int(rng.integers(1, 5)), num_vars, 1)
             enc = random_encoding(rng, num_vars, bits)
             qm = compile_linear_qubo(system, enc)
+            assert qm.num_aux == 0 and qm.penalty == 0.0
             pubo = compile_pubo(system, enc)
             states = all_bitstrings(enc.num_bits)
             np.testing.assert_allclose(

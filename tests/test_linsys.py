@@ -110,7 +110,7 @@ class TestRelativeResidual:
         p0 = make_rhs(12)
         report = conjugate_gradient(p1, p0, tol=1e-6)
         assert relative_residual(p1, p0, report.solution) == pytest.approx(
-            report.relative_residual**2, rel=1e-6, abs=1e-18
+            report.residual_norm_ratio**2, rel=1e-6, abs=1e-18
         )
 
 
@@ -294,6 +294,13 @@ class TestIterateSolve:
         doc = json.loads(a)
         assert doc[0]["iteration"] == 0
         assert set(doc[0]) >= {"lo", "hi", "bits", "x", "rel_residual", "reads"}
+
+    def test_one_bit_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linsys, "solve", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="bits >= 2"):
+            iterate_solve(np.eye(2), -np.ones(2), 1, 5, backend="brute")
+        assert calls == []
 
     def test_anneal_backend_runs(self):
         p1 = make_conditioned_matrix(ConditionedSpec(3, 1.5, seed=2))

@@ -357,7 +357,7 @@ class TestConjugateGradient:
         p0 = make_rhs(12)
         report = conjugate_gradient(p1, p0, tol=1e-6)
         assert report.converged
-        assert report.relative_residual <= 1e-6
+        assert report.residual_norm_ratio <= 1e-6
         true_res = np.linalg.norm(p1 @ report.solution + p0) / np.linalg.norm(p0)
         assert true_res <= 2e-6
 
