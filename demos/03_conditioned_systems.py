@@ -1,6 +1,6 @@
 """Walkthrough: solver behavior as conditioning, size, and precision vary.
 
-Builds symmetric positive-definite test matrices with a prescribed spectrum,
+Builds symmetric positive-definite test matrices with prescribed eigenvalues,
 runs conjugate gradient across four decades of condition number, and then
 drives the three desk-scale scaling sweeps with the annealing backend.
 

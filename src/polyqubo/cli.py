@@ -109,18 +109,17 @@ def _flatten(doc, prefix=""):
     return flat
 
 
-def _add_common(p, *, encoding=True, solver=True):
+def _add_common(p, *, encoding=True):
     if encoding:
         p.add_argument("--lo", default="-1", help="range lower bound (scalar or comma list)")
         p.add_argument("--hi", default="1", help="range upper bound (scalar or comma list)")
         p.add_argument("--bits", type=int, default=2, help="bits per variable")
-    if solver:
-        p.add_argument("--backend", choices=["brute", "anneal", "cg"], default="brute")
-        p.add_argument("--reads", type=int, default=1000)
-        p.add_argument("--sweeps", type=int, default=500)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--t-hot", type=float, default=None, help="override hot temperature")
-        p.add_argument("--t-cold", type=float, default=None, help="override cold temperature")
+    p.add_argument("--backend", choices=["brute", "anneal", "cg"], default="brute")
+    p.add_argument("--reads", type=int, default=1000)
+    p.add_argument("--sweeps", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--t-hot", type=float, default=None, help="override hot temperature")
+    p.add_argument("--t-cold", type=float, default=None, help="override cold temperature")
     p.add_argument("--output", default=None, help="report path (default: per-command name)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -230,7 +229,7 @@ def _cmd_solve_linear(args) -> dict:
     x = decode(enc, bits)
     return {
         "config": _echo_config(args),
-        "problem": {"bits": qm.num_logical, "auxiliaries": 0, "penalty": 0.0},
+        "problem": {"bits": qm.num_logical, "auxiliaries": qm.num_aux, "penalty": qm.penalty},
         "solver": solver_info,
         "energy": float(energy),
         "solution": x.tolist(),

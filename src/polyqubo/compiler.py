@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -327,6 +327,7 @@ def quadratize(
             they would need a further substitution round, which this
             implementation does not perform.
         penalty: constraint weight C; defaults to :func:`choose_penalty`.
+            The QUBO records C only if an auxiliary was allocated, else 0.
         aux: ``"lazy"`` allocates auxiliaries only for pairs that occur in
             cubic/quartic terms; ``"all"`` allocates every logical pair in
             lexicographic order (half L(L-1) auxiliaries).
@@ -345,14 +346,14 @@ def quadratize(
         raise ValueError(f"penalty must be positive, got {c_pen!r}")
 
     n_log = pubo.num_bits
+    aux_of = np.zeros((n_log + 1, n_log + 1), dtype=np.intp)
     if aux == "all":
         pairs = np.transpose(np.triu_indices(n_log, 1))
     else:
         substituted = np.concatenate([rows[sizes >= 3, :2], rows[sizes == 4, 2:]])
-        keys = np.unique(substituted[:, 0] * n_log + substituted[:, 1])
-        pairs = np.stack(np.divmod(keys, n_log), axis=1)
+        aux_of[substituted[:, 0], substituted[:, 1]] = 1
+        pairs = np.argwhere(aux_of)  # row-major: ascending (i, j)
     num_aux = len(pairs)
-    aux_of = np.zeros((n_log + 1, n_log + 1), dtype=np.intp)
     aux_of[pairs[:, 0], pairs[:, 1]] = n_log + np.arange(num_aux)
     # each term is a product of two factors: bits, or auxiliaries for pairs
     left = np.where(sizes >= 3, aux_of[rows[:, 0], rows[:, 1]], rows[:, 0])
@@ -373,7 +374,9 @@ def quadratize(
     q = np.zeros((n_log + num_aux, n_log + num_aux))
     # unbuffered and in order: every entry sums its contributions in sequence
     np.add.at(q, cells, values)
-    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=pairs.tolist(), penalty=c_pen)
+    return QuboMatrix(
+        q, pubo.offset, n_log, aux_pairs=pairs.tolist(), penalty=c_pen if num_aux else 0.0
+    )
 
 
 def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatrix:
@@ -387,7 +390,7 @@ def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatri
         raise ValueError(
             f"compile_linear_qubo requires a degree-1 system, got degree {system.degree}"
         )
-    return replace(quadratize(compile_pubo(system, enc)), penalty=0.0)
+    return quadratize(compile_pubo(system, enc))
 
 
 def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:

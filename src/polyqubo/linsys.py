@@ -2,7 +2,7 @@
 
 Test matrices are built as U diag(lambda) U^T from a seeded random orthogonal
 U and eigenvalues evenly spaced from 1 up to the requested condition number,
-so the spectrum is exactly controlled while the eigenvectors vary with the
+so the eigenvalues are exactly controlled while the eigenvectors vary with the
 seed.  The shared right-hand side is a vector of evenly spaced decimals from
 1 down to -1.
 
@@ -71,7 +71,7 @@ class ConditionedSpec:
 
 
 def make_conditioned_matrix(spec: ConditionedSpec) -> np.ndarray:
-    """Symmetric positive-definite matrix with the prescribed spectrum.
+    """Symmetric positive-definite matrix with the prescribed eigenvalues.
 
     Eigenvalues are evenly spaced from 1 to kappa; eigenvectors come from the
     QR orthogonalization of a seeded Gaussian matrix.
@@ -157,7 +157,7 @@ def run_sweep(
     to the standard settings for the kind (size sweep: kappa 1.1, 2 bits;
     condition sweep: 12 equations, 2 bits; precision sweep: 4 equations,
     kappa 1.1) and can be overridden.  The matrix seed is shared by all
-    points, so a condition sweep varies the spectrum over identical
+    points, so a condition sweep varies the eigenvalues over identical
     eigenvectors and a precision sweep refines one fixed instance; the
     annealer seed is per point (base seed + index) so points stay
     independent when run concurrently; ``schedule`` is its temperature
@@ -269,6 +269,9 @@ class IterationTrace:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+_RESIDUAL_FLOOR = 1e-14  # iterate_solve stops once the relative residual is below this
+
+
 def iterate_solve(
     p1,
     p0,
@@ -282,7 +285,6 @@ def iterate_solve(
     sweeps: int = 500,
     seed: int = 0,
     schedule: AnnealSchedule | None = None,
-    floor: float = 1e-14,
 ) -> IterationTrace:
     """Solve a linear system by repeatedly annealing and shrinking the window.
 
@@ -292,7 +294,8 @@ def iterate_solve(
     its relative residual, and re-grids one step either side of the winner.
     A winner sitting on the window boundary simply recenters the next window
     there (flagged in the trace, not an error).  Stops early once the
-    residual drops below ``floor``.  ``schedule`` is the annealer's ladder.
+    relative residual drops below ``_RESIDUAL_FLOOR``.  ``schedule`` is the
+    annealer's ladder.
     ``bits`` must be at least 2: with one bit every round doubles the window.
     """
     if bits < 2:
@@ -325,7 +328,7 @@ def iterate_solve(
                 recentered=on_boundary,
             )
         )
-        if steps[-1].rel_residual < floor:
+        if steps[-1].rel_residual < _RESIDUAL_FLOOR:
             break
         enc = refine(enc, x)
     return IterationTrace(tuple(steps))

@@ -46,6 +46,7 @@ __all__ = [
 
 _ENUMERATION_LIMIT = 24  # brute_force enumerates objectives of at most this many bits
 _CHUNK_BITS = 16  # enumerate at most 2**16 states per vectorized block
+_READ_CHUNK = 512  # reads annealed together as one batch of states
 _UNIFORM_FLOATS = 1 << 20  # uniforms held per read chunk, drawn in blocks of sweeps
 
 
@@ -70,18 +71,6 @@ class BruteForceResult:
     bits: np.ndarray
     energy: float
     num_ground: int
-    energies: np.ndarray | None = None
-
-    def lowest(self, k: int) -> list[tuple[float, np.ndarray]]:
-        """The k lowest (energy, bits) pairs; requires spectrum=True."""
-        if self.energies is None:
-            raise ValueError("spectrum was not recorded; rerun with spectrum=True")
-        order = np.argsort(self.energies, kind="stable")[:k]
-        num_bits = len(self.bits)
-        return [
-            (float(self.energies[s]), _bits_of_ints(np.array([s]), num_bits)[0])
-            for s in order
-        ]
 
 
 def check_enumerable(num_bits: int) -> None:
@@ -93,15 +82,14 @@ def check_enumerable(num_bits: int) -> None:
         )
 
 
-def brute_force(
-    objective: PseudoBooleanPolynomial | QuboMatrix,
-    spectrum: bool = False,
-) -> BruteForceResult:
+def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceResult:
     """Exact search over every bitstring of a PUBO or QUBO objective.
 
     Deterministic: ties resolve to the lowest state integer (bit i of the
-    integer is bit i of the string).  With ``spectrum=True`` the full energy
-    array indexed by state integer is returned as well.
+    integer is bit i of the string), and ``num_ground`` counts the states
+    that tie the minimum.  States are evaluated in blocks of 2**_CHUNK_BITS,
+    but the reported energy is the winner's evaluated alone, as the annealer
+    evaluates its records, so it does not depend on the block around it.
     """
     num_bits = objective.num_bits
     check_enumerable(num_bits)
@@ -111,13 +99,10 @@ def brute_force(
     best_energy = np.inf
     best_state = 0
     num_ground = 0
-    full = np.empty(total) if spectrum else None
     for start in range(0, total, chunk):
         ints = np.arange(start, min(start + chunk, total), dtype=np.int64)
         bits = _bits_of_ints(ints, num_bits)
         energies = energy_of(objective, bits)
-        if spectrum:
-            full[start : start + len(ints)] = energies
         lo = float(energies.min())
         if lo < best_energy:
             best_energy = lo
@@ -126,7 +111,7 @@ def brute_force(
         elif lo == best_energy:
             num_ground += int(np.count_nonzero(energies == lo))
     ground_bits = _bits_of_ints(np.array([best_state]), num_bits)[0]
-    return BruteForceResult(ground_bits, best_energy, num_ground, full)
+    return BruteForceResult(ground_bits, energy_of(objective, ground_bits), num_ground)
 
 
 @dataclass(frozen=True)
@@ -241,15 +226,15 @@ def simulated_anneal(
     sweeps: int = 1000,
     seed: int = 0,
     schedule: AnnealSchedule | None = None,
-    read_chunk: int = 512,
 ) -> SampleSet:
     """Sample a QUBO with independent single-flip Metropolis trajectories.
 
     Read r draws its randomness from ``default_rng(seed + r)`` — first the
     initial state, then one uniform per flip proposal in sweep-major, bit-
     ascending order — so results are bit-reproducible and independent of
-    chunking.  The uniforms are drawn in blocks of sweeps holding at most
-    ``_UNIFORM_FLOATS`` per read chunk, which leaves the stream unchanged.
+    how the reads are batched.  Reads are annealed in chunks of
+    ``_READ_CHUNK``, and the uniforms are drawn in blocks of sweeps holding
+    at most ``_UNIFORM_FLOATS`` per chunk, which leaves the stream unchanged.
     Each read contributes its final state, and each distinct state's energy
     is evaluated on its own, so it does not depend on the batch.
 
@@ -275,8 +260,8 @@ def simulated_anneal(
     runs = [a if b == a + 1 else slice(a, b) for a, b in _uncoupled_runs(coupling)]
 
     tally: dict[bytes, list] = {}
-    for start in range(0, reads, read_chunk):
-        size = min(read_chunk, reads - start)
+    for start in range(0, reads, _READ_CHUNK):
+        size = min(_READ_CHUNK, reads - start)
         rngs = [np.random.default_rng(seed + start + r) for r in range(size)]
         states = np.empty((size, n))
         for r, rng in enumerate(rngs):
@@ -305,7 +290,7 @@ def simulated_anneal(
                 entry[1] += 1
 
     # one state per call: BLAS gives a row of a batch last bits that depend
-    # on the rows around it, so a batched energy would depend on read_chunk
+    # on the rows around it, so a batched energy would depend on the chunks
     records = tuple(
         SampleRecord(bits, energy, count)
         for energy, bits, count in sorted(

@@ -102,6 +102,9 @@ class TestSolveLinear:
         poly, linear = reports
         assert poly["energy"] == linear["energy"]
         assert poly["solution"] == linear["solution"]
+        # no auxiliaries, so neither records a penalty
+        assert {k: poly["problem"][k] for k in linear["problem"]} == linear["problem"]
+        assert linear["problem"] == {"bits": 12, "auxiliaries": 0, "penalty": 0.0}
 
     def test_degree_two_rejected(self, capsys):
         assert run(["solve-linear", QUAD_FIXTURE]) == 1
@@ -266,13 +269,27 @@ class TestSolverFlags:
         assert "--penalty" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_import_leaves_out_scipy(self):
+    @staticmethod
+    def _child_output(code):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
         )
-        code = "import sys, polyqubo, polyqubo.cli; print('scipy' in sys.modules)"
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip()
+
+    def test_import_leaves_out_scipy(self):
+        code = "import sys, polyqubo, polyqubo.cli; print('scipy' in sys.modules)"
+        assert self._child_output(code) == "False"
+
+    def test_linear_compile_leaves_out_numpy_ma(self):
+        # np.unique without index outputs imports numpy.ma (about 13 ms, 1 MB)
+        code = (
+            "import sys, numpy as np, polyqubo as pq\n"
+            "system = pq.PolynomialSystem([np.ones(3), np.eye(3)])\n"
+            "pq.compile_linear_qubo(system, pq.from_range(-1.0, 1.0, 3, num_vars=3))\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        assert self._child_output(code) == "False"

@@ -257,10 +257,9 @@ class TestCompilePubo:
             compile_pubo(quad_system, from_range([0.0], [3.0], 2))
 
     def test_minimum_nonnegative_zero_iff_grid_root(self, quad_system, quad_encoding):
-        # the grid contains the exact root, so the spectrum floor is zero
+        # the grid contains the exact root, so the minimum energy is zero
         pubo = compile_pubo(quad_system, quad_encoding)
-        result = brute_force(pubo, spectrum=True)
-        assert result.energies.min() == 0.0
+        assert pubo_energy(pubo, all_bitstrings(pubo.num_bits)).min() == 0.0
         # shifted window excludes every root: strictly positive floor
         shifted = compile_pubo(quad_system, from_range([4.0, 4.0], [7.0, 7.0], 2))
         assert brute_force(shifted).energy > 0.0
@@ -357,7 +356,8 @@ class TestQuadratize:
             raw[idx] = float(rng.standard_normal())
         pubo = sparsify(raw, num_bits=num_bits)
         qm = quadratize(pubo, aux=aux)
-        table = brute_force(qm, spectrum=True).energies.reshape(2**qm.num_aux, 2**num_bits)
+        # rows of state integers: [aux int, logical int]
+        table = qubo_energy(qm, all_bitstrings(qm.num_bits)).reshape(2**qm.num_aux, 2**num_bits)
         logical = all_bitstrings(num_bits).astype(np.int64)
         mins = table.min(axis=0)  # over auxiliaries, per logical state integer
         np.testing.assert_allclose(mins, pubo_energy(pubo, logical), rtol=1e-9, atol=1e-9)
@@ -388,6 +388,9 @@ class TestQuadratize:
         assert qm.matrix.tobytes() == matrix.tobytes()
         assert qm.aux_pairs == pairs
         assert all(type(i) is int for pair in qm.aux_pairs for i in pair)
+        # C is recorded only where auxiliaries carry it
+        c_pen = choose_penalty(pubo) if penalty is None else penalty
+        assert qm.penalty == (c_pen if pairs else 0.0)
 
     @pytest.mark.parametrize("aux", ["lazy", "all"])
     def test_planted_matrix_matches_reference_loop(self, aux):

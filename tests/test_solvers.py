@@ -1,5 +1,7 @@
 """Brute-force enumeration, simulated annealing, conjugate gradient."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,12 @@ def reference_anneal(qm, reads, sweeps, seed, schedule=None, read_chunk=512):
     return SampleSet(tuple(records), total_reads=reads, rng_seed=seed)
 
 
+def conditioned_system(seed):
+    """A conditioned 4x4 system (kappa 100) and a 3-bit grid: 12 bits."""
+    p1 = make_conditioned_matrix(ConditionedSpec(4, 100.0, seed=seed))
+    return PolynomialSystem([make_rhs(4), p1]), from_range(-2.0, 2.0, 3, num_vars=4)
+
+
 @pytest.fixture(scope="module")
 def poly_qubos():
     """Quadratized planted systems of 76 and 208 bits, as the benchmark solves."""
@@ -95,12 +103,11 @@ class TestBruteForce:
             assert energy_fn(objective, result.bits) == result.energy
 
     def test_spectrum_matches_direct_evaluation(self, quad_pubo):
-        result = brute_force(quad_pubo, spectrum=True)
-        states = all_bitstrings(4)
-        np.testing.assert_array_equal(result.energies, pubo_energy(quad_pubo, states))
-        lowest = result.lowest(3)
-        assert lowest[0][0] == result.energy
-        assert [e for e, _ in lowest] == sorted(e for e, _ in lowest)
+        result = brute_force(quad_pubo)
+        spectrum = pubo_energy(quad_pubo, all_bitstrings(4))
+        assert result.energy == spectrum.min()
+        np.testing.assert_array_equal(result.bits, all_bitstrings(4)[np.argmin(spectrum)])
+        assert result.num_ground == np.count_nonzero(spectrum == spectrum.min())
 
     def test_deterministic(self, quad_qubo):
         a = brute_force(quad_qubo)
@@ -125,16 +132,44 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="1100 bits.*limit of 24 bits"):
             brute_force(pubo)
 
-    def test_chunked_enumeration_consistent(self, quad_qubo):
-        # 10 bits > one 16-bit chunk is not triggered here; force chunking by
-        # checking a 17-bit problem agrees with direct evaluation on samples
+    def test_chunked_enumeration_consistent(self, monkeypatch):
+        # 12 bits in blocks of 4, 32 and 4096 states give one result
         rng = np.random.default_rng(1)
         system = random_system(rng, 3, 2, 1)
         enc = random_encoding(rng, 2, 6)  # 12 bits
         qm = compile_linear_qubo(system, enc)
-        result = brute_force(qm, spectrum=True)
-        states = all_bitstrings(12)
-        np.testing.assert_allclose(result.energies, qubo_energy(qm, states), rtol=1e-12)
+        results = []
+        for chunk_bits in (2, 5, 16):
+            monkeypatch.setattr(solvers, "_CHUNK_BITS", chunk_bits)
+            result = brute_force(qm)
+            results.append((tuple(result.bits), result.energy, result.num_ground))
+        assert len(set(results)) == 1
+        spectrum = qubo_energy(qm, all_bitstrings(12))
+        assert results[0][0] == tuple(all_bitstrings(12)[np.argmin(spectrum)])
+
+    def test_ties_across_chunks_counted(self, monkeypatch):
+        # a flat landscape in blocks of two states: every block ties the first
+        monkeypatch.setattr(solvers, "_CHUNK_BITS", 1)
+        result = brute_force(sparsify({(0,): 0.0}, num_bits=3))
+        assert result.num_ground == 8
+        np.testing.assert_array_equal(result.bits, [0, 0, 0])
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_energy_is_the_winner_alone(self, seed, monkeypatch):
+        # a block's BLAS product can give a row other last bits than the row
+        # alone; the reported energy is the latter (seed 9 differed)
+        system, enc = conditioned_system(seed)
+        for objective, energy_fn in (
+            (compile_linear_qubo(system, enc), qubo_energy),
+            (compile_pubo(system, enc), pubo_energy),
+        ):
+            results = set()
+            for chunk_bits in (1, 2, 5, 16):
+                monkeypatch.setattr(solvers, "_CHUNK_BITS", chunk_bits)
+                result = brute_force(objective)
+                assert result.energy == energy_fn(objective, result.bits)
+                results.add((tuple(result.bits), result.energy, result.num_ground))
+            assert len(results) == 1
 
 
 class TestSimulatedAnneal:
@@ -180,10 +215,11 @@ class TestSimulatedAnneal:
         b = simulated_anneal(quad_qubo, reads=300, sweeps=50, seed=11)
         assert a.to_json() == b.to_json()
 
-    def test_chunking_does_not_change_results(self, quad_qubo):
+    def test_chunking_does_not_change_results(self, quad_qubo, monkeypatch):
         # the per-read generator contract: serial (chunk=1) equals batched
-        serial = simulated_anneal(quad_qubo, reads=40, sweeps=30, seed=5, read_chunk=1)
-        batched = simulated_anneal(quad_qubo, reads=40, sweeps=30, seed=5, read_chunk=64)
+        batched = simulated_anneal(quad_qubo, reads=40, sweeps=30, seed=5)
+        monkeypatch.setattr(solvers, "_READ_CHUNK", 1)
+        serial = simulated_anneal(quad_qubo, reads=40, sweeps=30, seed=5)
         assert serial.to_json() == batched.to_json()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -207,9 +243,11 @@ class TestSimulatedAnneal:
             matrix *= rng.random(matrix.shape) < rng.uniform(0.05, 0.5)
         qm = QuboMatrix(matrix, float(rng.standard_normal()), num_bits)
         schedule = AnnealSchedule(*ladder) if ladder else None
-        args = dict(reads=reads, sweeps=sweeps, seed=seed % 1000, schedule=schedule,
-                    read_chunk=read_chunk)
-        assert simulated_anneal(qm, **args).to_json() == reference_anneal(qm, **args).to_json()
+        args = dict(reads=reads, sweeps=sweeps, seed=seed % 1000, schedule=schedule)
+        # hypothesis reruns the test body, so a function-scoped monkeypatch would leak
+        with mock.patch.object(solvers, "_READ_CHUNK", read_chunk):
+            got = simulated_anneal(qm, **args).to_json()
+        assert got == reference_anneal(qm, **args, read_chunk=read_chunk).to_json()
 
     def test_matches_per_bit_reference_on_poly_qubo(self, poly_qubos):
         qm = poly_qubos[0]
@@ -251,12 +289,12 @@ class TestSimulatedAnneal:
                     assert np.any(coupling[a:b, b])
             assert len(runs) < qm.num_bits
 
-    def test_poly_qubo_chunking_does_not_change_results(self, poly_qubos):
+    def test_poly_qubo_chunking_does_not_change_results(self, poly_qubos, monkeypatch):
         for qm, reads in zip(poly_qubos, (64, 16)):
-            reports = {
-                simulated_anneal(qm, reads=reads, sweeps=30, seed=3, read_chunk=chunk).to_json()
-                for chunk in (1, 7, 512)
-            }
+            reports = set()
+            for chunk in (1, 7, 512):
+                monkeypatch.setattr(solvers, "_READ_CHUNK", chunk)
+                reports.add(simulated_anneal(qm, reads=reads, sweeps=30, seed=3).to_json())
             assert len(reports) == 1
             assert len(SampleSet.from_json(reports.pop()).records) > 1
 
@@ -304,6 +342,18 @@ class TestSolve:
         assert bits.dtype == np.uint8
         assert tuple(bits) == direct.best.bits
         assert energy == direct.best.energy
+
+    def test_backends_agree_on_energy_when_bits_agree(self):
+        # both report a winner's energy evaluated alone (seed 9 differed)
+        matched = 0
+        for seed in range(12):
+            qm = compile_linear_qubo(*conditioned_system(seed))
+            exact = solve(qm, "brute", reads=1, sweeps=1, seed=0)
+            sampled = solve(qm, "anneal", reads=200, sweeps=100, seed=0)
+            if np.array_equal(exact[0], sampled[0]):
+                matched += 1
+                assert exact[1] == sampled[1]
+        assert matched >= 6
 
     @pytest.mark.parametrize("backend", ["cg", "quantum", "Brute"])
     def test_unknown_backend_rejected(self, quad_qubo, backend):
