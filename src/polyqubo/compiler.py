@@ -453,7 +453,14 @@ def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
 
 
 def qubo_energy(qm: QuboMatrix, bits) -> float | np.ndarray:
-    """Evaluate a QUBO at a full bit vector (logical + aux), batched like psi."""
+    """Evaluate a QUBO at a full bit vector (logical + aux), batched like psi.
+
+    A batch goes through one BLAS product, whose summation order can change
+    with a row's position in the batch, so a state's energy in a batch may
+    differ in its last bits from the same state evaluated alone.  That is
+    why both solvers report each winner's energy from a call on that one
+    state.
+    """
     bits = np.asarray(bits, dtype=float)
     if bits.ndim == 0 or bits.shape[-1] != qm.num_bits:
         raise ValueError(

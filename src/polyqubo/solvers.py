@@ -5,7 +5,11 @@ objective's constant offset, so a reported energy is directly a residual sum
 of squares.
 
 * :func:`brute_force` — exact enumeration of every bitstring, the ground
-  truth for objectives of at most ``_ENUMERATION_LIMIT`` = 24 bits.
+  truth for objectives of at most ``_ENUMERATION_LIMIT`` = 24 bits.  The
+  bits split into a low and a high half, each tabulated once, and blocks of
+  high-half states are scored against every low-half state; the winner is
+  the lowest state integer among the exact ties, and ``num_ground`` counts
+  those ties.
 * :func:`simulated_anneal` — single-flip Metropolis annealing, the software
   stand-in for annealing hardware.  Reads are independent trajectories with
   per-read generators seeded ``seed + read_index``, so chunked, parallel,
@@ -28,7 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import PseudoBooleanPolynomial, QuboMatrix, pubo_energy, qubo_energy
+from .compiler import (
+    _BLOCK_FLOATS,
+    PseudoBooleanPolynomial,
+    QuboMatrix,
+    pubo_energy,
+    qubo_energy,
+)
 
 __all__ = [
     "BruteForceResult",
@@ -45,7 +55,6 @@ __all__ = [
 ]
 
 _ENUMERATION_LIMIT = 24  # brute_force enumerates objectives of at most this many bits
-_CHUNK_BITS = 16  # enumerate at most 2**16 states per vectorized block
 _READ_CHUNK = 512  # reads annealed together as one batch of states
 _UNIFORM_FLOATS = 1 << 20  # uniforms held per read chunk, drawn in blocks of sweeps
 
@@ -57,10 +66,7 @@ def all_bitstrings(num_bits: int) -> np.ndarray:
     """
     if num_bits < 0 or num_bits > 20:
         raise ValueError(f"refusing to materialize 2^{num_bits} bitstrings at once")
-    return _bits_of_ints(np.arange(1 << num_bits, dtype=np.int64), num_bits)
-
-
-def _bits_of_ints(ints: np.ndarray, num_bits: int) -> np.ndarray:
+    ints = np.arange(1 << num_bits, dtype=np.int64)
     return ((ints[:, None] >> np.arange(num_bits)) & 1).astype(np.uint8)
 
 
@@ -85,32 +91,72 @@ def check_enumerable(num_bits: int) -> None:
 def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceResult:
     """Exact search over every bitstring of a PUBO or QUBO objective.
 
-    Deterministic: ties resolve to the lowest state integer (bit i of the
-    integer is bit i of the string), and ``num_ground`` counts the states
-    that tie the minimum.  States are evaluated in blocks of 2**_CHUNK_BITS,
-    but the reported energy is the winner's evaluated alone, as the annealer
-    evaluates its records, so it does not depend on the block around it.
+    The first ``lo = n // 2`` bits form the low half and the rest the high
+    half; each half's bitstrings are tabulated once by :func:`all_bitstrings`
+    (``B_lo``, ``B_hi``), and state ``s`` pairs low row ``s % 2**lo`` with
+    high row ``s >> lo``.  Blocks of high rows, each about ``_BLOCK_FLOATS``
+    states, are scored against every low row.  For a QUBO a block's energies
+    are
+
+        E_hi[block, None] + E_lo[None, :] + B_hi[block] @ (B_lo @ Q[:lo, lo:]).T
+
+    plus the offset, where ``E_lo`` and ``E_hi`` are the halves' own
+    energies: the matrix is upper triangular, so the halves meet only in the
+    cross term.  The offset comes last, as in :func:`qubo_energy`, so where
+    the quadratic sums are exact (integer coefficients, say) the energies
+    and their ties are those of a direct evaluation.  For a PUBO,
+    :func:`pubo_energy` evaluates the block's bit table.
+
+    A block read high-major is in ascending state order, so ties resolve to
+    the lowest state integer (bit i of the integer is bit i of the string),
+    and ``num_ground`` counts the states that tie the minimum exactly in
+    this arithmetic.  The reported energy is the winner's evaluated alone,
+    as the annealer evaluates its records, so it does not depend on the
+    block around it.
     """
     num_bits = objective.num_bits
     check_enumerable(num_bits)
     energy_of = qubo_energy if isinstance(objective, QuboMatrix) else pubo_energy
-    total = 1 << num_bits
-    chunk = min(total, 1 << _CHUNK_BITS)
+    lo = num_bits // 2
+    lo_bits, hi_bits = all_bitstrings(lo), all_bitstrings(num_bits - lo)
+    rows = max(1, _BLOCK_FLOATS >> lo)
+    if energy_of is qubo_energy:
+        q = objective.matrix
+        lo_f, hi_f = lo_bits.astype(float), hi_bits.astype(float)
+        e_lo = ((lo_f @ q[:lo, :lo]) * lo_f).sum(axis=1)
+        e_hi = ((hi_f @ q[lo:, lo:]) * hi_f).sum(axis=1)
+        cross_t = (lo_f @ q[:lo, lo:]).T
+
+        def block_energies(block: slice) -> np.ndarray:
+            energies = e_hi[block, None] + e_lo[None, :]
+            energies += hi_f[block] @ cross_t
+            energies += objective.offset
+            return energies
+
+    else:
+
+        def block_energies(block: slice) -> np.ndarray:
+            high = hi_bits[block]
+            table = np.hstack(
+                [np.tile(lo_bits, (len(high), 1)), np.repeat(high, len(lo_bits), axis=0)]
+            )
+            return pubo_energy(objective, table)
+
     best_energy = np.inf
     best_state = 0
     num_ground = 0
-    for start in range(0, total, chunk):
-        ints = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = _bits_of_ints(ints, num_bits)
-        energies = energy_of(objective, bits)
-        lo = float(energies.min())
-        if lo < best_energy:
-            best_energy = lo
-            best_state = int(ints[int(np.argmax(energies == lo))])
-            num_ground = int(np.count_nonzero(energies == lo))
-        elif lo == best_energy:
-            num_ground += int(np.count_nonzero(energies == lo))
-    ground_bits = _bits_of_ints(np.array([best_state]), num_bits)[0]
+    for start in range(0, len(hi_bits), rows):
+        energies = block_energies(slice(start, start + rows)).ravel()
+        at = int(np.argmin(energies))
+        least = energies[at]
+        if least < best_energy:
+            best_energy = least
+            best_state = (start << lo) + at
+            num_ground = int(np.count_nonzero(energies == least))
+        elif least == best_energy:
+            num_ground += int(np.count_nonzero(energies == least))
+    high, low_row = divmod(best_state, 1 << lo)
+    ground_bits = np.concatenate([lo_bits[low_row], hi_bits[high]])
     return BruteForceResult(ground_bits, energy_of(objective, ground_bits), num_ground)
 
 

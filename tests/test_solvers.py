@@ -1,5 +1,6 @@
 """Brute-force enumeration, simulated annealing, conjugate gradient."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -61,6 +62,11 @@ def reference_anneal(qm, reads, sweeps, seed, schedule=None, read_chunk=512):
     records = [SampleRecord(bits, qubo_energy(qm, bits), c) for bits, c in counts.items()]
     records.sort(key=lambda r: (r.energy, r.bits))
     return SampleSet(tuple(records), total_reads=reads, rng_seed=seed)
+
+
+def high_rows_per_block(monkeypatch, num_bits, rows):
+    """Make brute_force on ``num_bits`` bits take ``rows`` high-half rows per block."""
+    monkeypatch.setattr(solvers, "_BLOCK_FLOATS", rows << (num_bits // 2))
 
 
 def conditioned_system(seed):
@@ -133,14 +139,14 @@ class TestBruteForce:
             brute_force(pubo)
 
     def test_chunked_enumeration_consistent(self, monkeypatch):
-        # 12 bits in blocks of 4, 32 and 4096 states give one result
+        # 12 bits in blocks of 1, 3 and all 64 high rows give one result
         rng = np.random.default_rng(1)
         system = random_system(rng, 3, 2, 1)
         enc = random_encoding(rng, 2, 6)  # 12 bits
         qm = compile_linear_qubo(system, enc)
         results = []
-        for chunk_bits in (2, 5, 16):
-            monkeypatch.setattr(solvers, "_CHUNK_BITS", chunk_bits)
+        for rows in (1, 3, 64):
+            high_rows_per_block(monkeypatch, 12, rows)
             result = brute_force(qm)
             results.append((tuple(result.bits), result.energy, result.num_ground))
         assert len(set(results)) == 1
@@ -148,28 +154,104 @@ class TestBruteForce:
         assert results[0][0] == tuple(all_bitstrings(12)[np.argmin(spectrum)])
 
     def test_ties_across_chunks_counted(self, monkeypatch):
-        # a flat landscape in blocks of two states: every block ties the first
-        monkeypatch.setattr(solvers, "_CHUNK_BITS", 1)
+        # a flat landscape in blocks of one high row, two states: every block
+        # ties the first
+        high_rows_per_block(monkeypatch, 3, 1)
         result = brute_force(sparsify({(0,): 0.0}, num_bits=3))
         assert result.num_ground == 8
         np.testing.assert_array_equal(result.bits, [0, 0, 0])
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_energy_is_the_winner_alone(self, seed, monkeypatch):
-        # a block's BLAS product can give a row other last bits than the row
-        # alone; the reported energy is the latter (seed 9 differed)
+        # the split sums a state's energy in another order than the state
+        # alone, and a block's BLAS product can give a row other last bits
+        # than the row alone; the reported energy is the latter
         system, enc = conditioned_system(seed)
         for objective, energy_fn in (
             (compile_linear_qubo(system, enc), qubo_energy),
             (compile_pubo(system, enc), pubo_energy),
         ):
             results = set()
-            for chunk_bits in (1, 2, 5, 16):
-                monkeypatch.setattr(solvers, "_CHUNK_BITS", chunk_bits)
+            for rows in (1, 2, 5, 64):
+                high_rows_per_block(monkeypatch, 12, rows)
                 result = brute_force(objective)
                 assert result.energy == energy_fn(objective, result.bits)
                 results.add((tuple(result.bits), result.energy, result.num_ground))
             assert len(results) == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bits=st.integers(0, 13),
+        kind=st.sampled_from(["qubo", "pubo"]),
+        pattern=st.sampled_from(["zero", "dense", "free bits"]),
+        rows=st.sampled_from([1, 3, None]),
+    )
+    def test_matches_direct_argmin(self, seed, num_bits, kind, pattern, rows):
+        # integer coefficients keep every sum but the last, the real offset,
+        # exact, so the split and a direct evaluation of all 2^n states must
+        # agree on ties too; "free bits" plants multi-way ties: each bit that
+        # no term touches doubles the ground
+        rng = np.random.default_rng(seed)
+        free = rng.random(num_bits) < 0.4 if pattern == "free bits" else np.zeros(num_bits, bool)
+        scale = 0 if pattern == "zero" else 3
+        offset = float(rng.standard_normal()) if pattern != "zero" else 0.0
+        if kind == "qubo":
+            matrix = np.triu(rng.integers(-scale, scale + 1, (num_bits, num_bits))).astype(float)
+            matrix[free, :] = matrix[:, free] = 0.0
+            objective, energy_fn = QuboMatrix(matrix, offset, num_bits), qubo_energy
+        else:
+            terms = [((), offset)]
+            for _ in range(int(rng.integers(0, 3 * num_bits + 1))):
+                term = rng.choice(num_bits, size=int(rng.integers(1, 5)))
+                if not free[term].any():
+                    terms.append((tuple(term), float(rng.integers(-scale, scale + 1))))
+            objective, energy_fn = sparsify(terms, num_bits), pubo_energy
+        table = all_bitstrings(num_bits)
+        spectrum = np.atleast_1d(energy_fn(objective, table))
+        with pytest.MonkeyPatch.context() as patch:
+            if rows is not None:
+                high_rows_per_block(patch, num_bits, rows)
+            result = brute_force(objective)
+        np.testing.assert_array_equal(result.bits, table[np.argmin(spectrum)])
+        assert result.energy == spectrum.min()
+        assert result.num_ground == np.count_nonzero(spectrum == spectrum.min())
+        assert result.num_ground >= 2 ** int(free.sum())
+        if pattern == "zero":
+            assert result.num_ground == 2**num_bits
+
+    def test_memory_bounded(self):
+        # a 20-bit round of the refinement loop; all 2^20 energies at once
+        # would take 8 MB
+        system, _ = conditioned_system(1)
+        qm = compile_linear_qubo(system, from_range(-2.0, 2.0, 5, num_vars=4))
+        assert qm.num_bits == 20
+        tracemalloc.start()
+        try:
+            brute_force(qm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_enumeration_limit(self):
+        flat = brute_force(QuboMatrix(np.zeros((24, 24)), 1.5, 24))
+        assert (flat.num_ground, flat.energy) == (2**24, 1.5)
+        np.testing.assert_array_equal(flat.bits, np.zeros(24))
+        planted = np.arange(24) % 3 == 1
+        qm = QuboMatrix(np.diag(np.where(planted, -1.0, 1.0)), 0.0, 24)
+        result = brute_force(qm)
+        np.testing.assert_array_equal(result.bits, planted)
+        assert (result.energy, result.num_ground) == (-8.0, 1)
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="25 bits.*limit of 24 bits"):
+                brute_force(QuboMatrix(np.zeros((25, 25)), 0.0, 25))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, f"peak {peak} bytes"  # a 2^12-row bit table takes 400 kB
 
 
 class TestSimulatedAnneal:
