@@ -208,7 +208,7 @@ def _cmd_solve_poly(args) -> dict:
             "bits": qm.num_logical,
             "auxiliaries": qm.num_aux,
             "penalty": qm.penalty,
-            "pubo_terms": len(pubo.terms),
+            "pubo_terms": len(pubo.coeffs),
         },
         "solver": solver_info,
         "energy": float(energy),

@@ -11,15 +11,14 @@ auxiliary bits held consistent by penalty terms
 
 which vanish exactly when aux = psi_i * psi_j and cost at least C otherwise.
 
-Both PUBO layers are array code.  :func:`compile_pubo` multiplies each
-coefficient tensor by products of the encoding's affine bit map,
-canonicalises the resulting index tuples as sorted, padded rows keyed by
-one integer each, and squares the residuals through the Gram matrix of
-their coefficients.  :func:`pubo_energy` splits every term into two halves
-and evaluates all terms of a block of states as one bilinear form over the
-half products.  :func:`quadratize` maps every term and penalty entry to its
-matrix cell with index arrays and sums them with one unbuffered
-``np.add.at`` in term order, as a loop of additions would.
+A PUBO is two arrays (see :class:`PseudoBooleanPolynomial`) that every
+layer reads as they are.  :func:`compile_pubo` groups the index rows of the
+residuals' bit expansion by canonical set and squares the residuals through
+the Gram matrix of their coefficients; :func:`sparsify` groups raw terms the
+same way.  :func:`pubo_energy` evaluates a block of states as one bilinear
+form over products of term halves, a table each polynomial builds once.
+:func:`quadratize` maps every term and penalty entry to its matrix cell and
+sums them with one unbuffered ``np.add.at`` in term order, as a loop would.
 
 Degree-1 systems take the same compiler (:func:`compile_linear_qubo`): their
 PUBO terms have at most two bits, so quadratization adds no auxiliaries.
@@ -28,9 +27,11 @@ PUBO terms have at most two bits, so quadratization adds no auxiliaries.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,32 +56,62 @@ __all__ = [
 class PseudoBooleanPolynomial:
     """Multilinear polynomial over binary variables plus a constant offset.
 
-    ``terms`` maps sorted, duplicate-free index tuples to coefficients;
-    the empty product lives in ``offset``.
+    ``rows`` holds one distinct bit set per row, sorted, padded on the right
+    with ``num_bits``, in ascending tuple order and as wide as the largest
+    term; ``coeffs`` holds their nonzero, finite coefficients.  Both arrays
+    are read-only; the empty product lives in ``offset``.  The read-only
+    view ``terms`` ({index tuple: coefficient}, in row order) is derived on
+    first access.
     """
 
-    terms: dict[tuple[int, ...], float]
+    rows: np.ndarray
+    coeffs: np.ndarray
     offset: float
     num_bits: int
 
     def __post_init__(self):
-        coeffs = np.fromiter(self.terms.values(), dtype=float, count=len(self.terms))
-        bad = ~np.isfinite(coeffs)
+        for name, dtype in (("rows", np.intp), ("coeffs", float)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        bad = ~np.isfinite(self.coeffs)
         if bad.any():
             first = int(np.argmax(bad))
             term = list(self.terms)[first]
-            raise ValueError(f"term {term} has non-finite coefficient {coeffs[first]!r}")
+            raise ValueError(f"term {term} has non-finite coefficient {self.coeffs[first]!r}")
         if not np.isfinite(self.offset):
             raise ValueError(f"offset {self.offset!r} is not finite")
 
+    @cached_property
+    def terms(self) -> Mapping[tuple[int, ...], float]:
+        sizes = np.count_nonzero(self.rows != self.num_bits, axis=1)
+        names = [tuple(row[:k]) for row, k in zip(self.rows.tolist(), sizes.tolist())]
+        return MappingProxyType(dict(zip(names, self.coeffs.tolist())))
+
+    @cached_property
+    def _half_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct term halves and the H x H matrix M of :func:`pubo_energy`."""
+        num_bits = self.num_bits
+        # with no terms, one padding column keeps the half products defined
+        rows = self.rows if self.rows.shape[1] else np.full((0, 1), num_bits)
+        sizes = np.count_nonzero(rows != num_bits, axis=1)
+        first = np.arange(rows.shape[1]) < (sizes[:, None] + 1) // 2
+        half = (rows.shape[1] + 1) // 2
+        left = np.where(first, rows, num_bits)[:, :half]
+        right = np.sort(np.where(first, num_bits, rows), axis=1)[:, :half]
+        halves, inverse = _group_sets(np.concatenate([left, right]), num_bits)
+        pairs = np.zeros((len(halves), len(halves)))
+        pairs[inverse[: len(rows)], inverse[len(rows) :]] = self.coeffs
+        return halves, pairs
+
     @property
     def max_term_size(self) -> int:
-        return max((len(t) for t in self.terms), default=0)
+        return self.rows.shape[1]
 
     def __repr__(self) -> str:
         return (
             f"PseudoBooleanPolynomial(bits={self.num_bits}, "
-            f"terms={len(self.terms)}, max_size={self.max_term_size}, "
+            f"terms={len(self.coeffs)}, max_size={self.max_term_size}, "
             f"offset={self.offset:g})"
         )
 
@@ -98,25 +129,25 @@ class QuboMatrix:
         penalty: consistency weight C used for the auxiliary constraints.
     """
 
-    matrix: np.ndarray = field()
-    offset: float = field()
-    num_logical: int = field()
-    aux_pairs: tuple[tuple[int, int], ...] = field(default=())
-    penalty: float = field(default=0.0)
+    matrix: np.ndarray
+    offset: float
+    num_logical: int
+    aux_pairs: tuple[tuple[int, int], ...] = ()
+    penalty: float = 0.0
 
-    def __init__(self, matrix, offset, num_logical, aux_pairs=(), penalty=0.0):
-        matrix = np.asarray(matrix, dtype=float)
+    def __post_init__(self):
+        matrix, num_logical = np.asarray(self.matrix, dtype=float), int(self.num_logical)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
             i, j = np.argwhere(~np.isfinite(matrix))[0]
             raise ValueError(f"matrix entry ({i}, {j}) is {matrix[i, j]!r}, not finite")
-        offset, penalty = float(offset), float(penalty)
+        offset, penalty = float(self.offset), float(self.penalty)
         if not (np.isfinite(offset) and np.isfinite(penalty)):
             raise ValueError(f"offset {offset!r} and penalty {penalty!r} must be finite")
         if np.any(np.tril(matrix, -1) != 0):
             raise ValueError("matrix must be upper triangular")
-        aux_pairs = tuple(tuple(p) for p in aux_pairs)
+        aux_pairs = tuple(tuple(p) for p in self.aux_pairs)
         if matrix.shape[0] != num_logical + len(aux_pairs):
             raise ValueError(
                 f"matrix is {matrix.shape[0]}x{matrix.shape[0]} but "
@@ -127,11 +158,8 @@ class QuboMatrix:
         for i, j in aux_pairs:
             if not (0 <= i < j < num_logical):
                 raise ValueError(f"aux pair ({i}, {j}) is not an ordered logical pair")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "num_logical", int(num_logical))
-        object.__setattr__(self, "aux_pairs", aux_pairs)
-        object.__setattr__(self, "penalty", penalty)
+        for f, value in zip(fields(self), (matrix, offset, num_logical, aux_pairs, penalty)):
+            object.__setattr__(self, f.name, value)
 
     @property
     def num_bits(self) -> int:
@@ -157,47 +185,27 @@ class QuboMatrix:
 _BLOCK_FLOATS = 1 << 15  # size of per-block temporaries in compile_pubo and pubo_energy
 
 
-def _canon(indices) -> tuple[int, ...]:
-    """Canonical index set: idempotence applied, sorted ascending."""
-    return tuple(sorted(set(indices)))
-
-
-def _term_rows(pubo: PseudoBooleanPolynomial, min_width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Term sizes, and the terms as rows of indices padded with ``num_bits``.
-
-    Rows are at least ``min_width`` wide and keep ``pubo.terms`` order.
-    """
-    sizes = np.fromiter(map(len, pubo.terms), dtype=np.intp, count=len(pubo.terms))
-    width = max(min_width, int(sizes.max(initial=0)))
-    rows = np.full((len(sizes), width), pubo.num_bits)
-    rows[np.arange(width) < sizes[:, None]] = np.fromiter(
-        chain.from_iterable(pubo.terms), dtype=np.intp, count=int(sizes.sum())
-    )
-    return sizes, rows
-
-
 def sparsify(raw_terms, num_bits: int) -> PseudoBooleanPolynomial:
-    """Canonicalize raw multilinear terms into sparse upper-triangular form.
+    """Canonicalize raw multilinear terms into a :class:`PseudoBooleanPolynomial`.
 
     ``raw_terms`` is a mapping (or iterable of pairs) from index tuples to
     coefficients.  Index tuples may be unsorted and may contain repeats;
     repeats collapse under the idempotence psi^2 = psi, permutations of the
     same set accumulate into one coefficient, and empty products accumulate
-    into the offset.  The represented energy function is unchanged.
+    into the offset.  A set's coefficient is one ``np.bincount`` of the raw
+    ones in input order, the bits of a loop of additions; zeros are dropped.
     """
-    items = raw_terms.items() if hasattr(raw_terms, "items") else raw_terms
-    terms: dict[tuple[int, ...], float] = defaultdict(float)
-    offset = 0.0
-    for indices, coeff in items:
-        key = _canon(indices)
-        if key and (key[0] < 0 or key[-1] >= num_bits):
-            raise ValueError(f"term {tuple(indices)} references a bit outside 0..{num_bits - 1}")
-        if key:
-            terms[key] += coeff
-        else:
-            offset += coeff
-    terms = {k: v for k, v in terms.items() if v != 0.0}
-    return PseudoBooleanPolynomial(terms=terms, offset=offset, num_bits=num_bits)
+    items = list(raw_terms.items() if hasattr(raw_terms, "items") else raw_terms)
+    sizes = np.fromiter((len(t) for t, _ in items), dtype=np.intp, count=len(items))
+    flat = np.fromiter(chain.from_iterable(t for t, _ in items), np.intp, int(sizes.sum()))
+    if np.any((flat < 0) | (flat >= num_bits)):
+        bad = next(t for t, _ in items if not all(0 <= i < num_bits for i in t))
+        raise ValueError(f"term {tuple(bad)} references a bit outside 0..{num_bits - 1}")
+    rows = np.full((len(items), int(sizes.max(initial=0))), num_bits)
+    rows[np.arange(rows.shape[1]) < sizes[:, None]] = flat
+    sets, inverse = _group_sets(rows, num_bits)
+    coeffs = np.fromiter((c for _, c in items), dtype=float, count=len(items))
+    return _collect(sets, np.bincount(inverse, coeffs, minlength=len(sets)), num_bits)
 
 
 def _group_sets(rows: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,6 +233,15 @@ def _group_sets(rows: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarray
     else:
         _, first, inverse = np.unique(digits, axis=0, return_index=True, return_inverse=True)
     return rows[first], inverse.reshape(-1)
+
+
+def _collect(sets: np.ndarray, totals: np.ndarray, num_bits: int) -> PseudoBooleanPolynomial:
+    """Polynomial of grouped sets: the empty one (first) is the offset, zeros go."""
+    sizes = np.count_nonzero(sets != num_bits, axis=1)
+    keep = (totals != 0.0) & (sizes > 0)
+    offset = float(totals[0]) if len(sizes) and not sizes[0] else 0.0
+    width = int(sizes[keep].max(initial=0))
+    return PseudoBooleanPolynomial(sets[keep, :width], totals[keep], offset, num_bits)
 
 
 def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPolynomial:
@@ -291,23 +308,17 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
         weights[pair] = (residual[left[pair]] * residual[right[pair]]).sum(axis=1)
     weights[left != right] *= 2.0
     sets, inverse = _group_sets(np.hstack([sets[left], sets[right]]), num_bits)
-    totals = np.bincount(inverse, weights=weights)
-    # the empty set, key 0, always comes first: the constant-times-constant pair
-    keep = np.flatnonzero(totals[1:] != 0.0) + 1
-    sizes = np.count_nonzero(sets[keep] != num_bits, axis=1)
-    names = [tuple(row[:k]) for row, k in zip(sets[keep].tolist(), sizes.tolist())]
-    terms = dict(zip(names, totals[keep].tolist()))
-    return PseudoBooleanPolynomial(terms=terms, offset=float(totals[0]), num_bits=num_bits)
+    return _collect(sets, np.bincount(inverse, weights), num_bits)
 
 
 def choose_penalty(pubo: PseudoBooleanPolynomial) -> float:
     """Auxiliary-consistency weight that safely dominates any single violation.
 
-    Returns ``1 + 2 * sum(|coefficients|)`` over the polynomial's terms.
+    Returns ``1 + 2 * sum(|coefficients|)``, summed one by one in term order.
     Breaking one constraint costs at least the returned C, while the largest
     energy decrease obtainable anywhere in the objective is below C.
     """
-    return 1.0 + 2.0 * float(sum(abs(c) for c in pubo.terms.values()))
+    return 1.0 + 2.0 * float(sum(map(abs, pubo.coeffs.tolist())))
 
 
 def quadratize(
@@ -326,26 +337,27 @@ def quadratize(
         pubo: polynomial to reduce; terms larger than 4 are rejected since
             they would need a further substitution round, which this
             implementation does not perform.
-        penalty: constraint weight C; defaults to :func:`choose_penalty`.
-            The QUBO records C only if an auxiliary was allocated, else 0.
+        penalty: constraint weight C > 0, finite; only with an auxiliary is
+            it used (default :func:`choose_penalty`) and recorded, else C = 0.
         aux: ``"lazy"`` allocates auxiliaries only for pairs that occur in
             cubic/quartic terms; ``"all"`` allocates every logical pair in
             lexicographic order (half L(L-1) auxiliaries).
     """
-    sizes, rows = _term_rows(pubo, 4)
-    if rows.shape[1] > 4:
-        worst = list(pubo.terms)[int(np.argmax(sizes))]
+    n_log = pubo.num_bits
+    if pubo.max_term_size > 4:
+        worst = list(pubo.terms)[int(np.argmax(pubo.rows[:, -1] != n_log))]
         raise ValueError(
             f"term {worst} has {len(worst)} bits; a second substitution round "
             "would be required to quadratize it, which is not implemented"
         )
     if aux not in ("lazy", "all"):
         raise ValueError(f"aux must be 'lazy' or 'all', got {aux!r}")
-    c_pen = choose_penalty(pubo) if penalty is None else float(penalty)
-    if c_pen <= 0:
-        raise ValueError(f"penalty must be positive, got {c_pen!r}")
+    if penalty is not None and not 0.0 < float(penalty) < math.inf:
+        flaw = "positive" if math.isfinite(float(penalty)) else "finite"
+        raise ValueError(f"penalty {penalty!r} is not {flaw}: it must be a positive finite number")
 
-    n_log = pubo.num_bits
+    rows = np.pad(pubo.rows, ((0, 0), (0, 4 - pubo.max_term_size)), constant_values=n_log)
+    sizes = np.count_nonzero(rows != n_log, axis=1)
     aux_of = np.zeros((n_log + 1, n_log + 1), dtype=np.intp)
     if aux == "all":
         pairs = np.transpose(np.triu_indices(n_log, 1))
@@ -355,6 +367,7 @@ def quadratize(
         pairs = np.argwhere(aux_of)  # row-major: ascending (i, j)
     num_aux = len(pairs)
     aux_of[pairs[:, 0], pairs[:, 1]] = n_log + np.arange(num_aux)
+    c_pen = (choose_penalty(pubo) if penalty is None else float(penalty)) if num_aux else 0.0
     # each term is a product of two factors: bits, or auxiliaries for pairs
     left = np.where(sizes >= 3, aux_of[rows[:, 0], rows[:, 1]], rows[:, 0])
     last = rows[np.arange(len(sizes)), sizes - 1]
@@ -368,15 +381,13 @@ def quadratize(
         np.concatenate([np.maximum(left, right), np.stack([j, a, a, a], axis=1).ravel()]),
     )
     values = np.concatenate([
-        np.fromiter(pubo.terms.values(), dtype=float, count=len(sizes)),
+        pubo.coeffs,
         np.tile([c_pen, -2.0 * c_pen, -2.0 * c_pen, 3.0 * c_pen], num_aux),
     ])
     q = np.zeros((n_log + num_aux, n_log + num_aux))
     # unbuffered and in order: every entry sums its contributions in sequence
     np.add.at(q, cells, values)
-    return QuboMatrix(
-        q, pubo.offset, n_log, aux_pairs=pairs.tolist(), penalty=c_pen if num_aux else 0.0
-    )
+    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=pairs.tolist(), penalty=c_pen)
 
 
 def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatrix:
@@ -410,7 +421,8 @@ def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
     ``_BLOCK_FLOATS`` floats.  The product runs in numpy's einsum loops
     rather than BLAS, whose kernels change the summation order with a row's
     position in the block: this way a state's energy is the same bits
-    however the batch is sliced.
+    however the batch is sliced.  A polynomial builds its halves and M on its
+    first evaluation and keeps them for later calls.
     """
     psi = np.asarray(psi)
     num_bits = pubo.num_bits
@@ -419,20 +431,7 @@ def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
             f"bitstring has length {psi.shape[-1] if psi.ndim else 0}, "
             f"polynomial expects {num_bits}"
         )
-    sizes, rows = _term_rows(pubo, 1)
-    width = rows.shape[1]
-    first = np.arange(width) < (sizes[:, None] + 1) // 2
-    half = (width + 1) // 2
-    left = np.where(first, rows, num_bits)[:, :half]
-    right = np.sort(np.where(first, num_bits, rows), axis=1)[:, :half]
-    halves, inverse = _group_sets(np.concatenate([left, right]), num_bits)
-    pairs = np.zeros((len(halves), len(halves)))
-    np.add.at(
-        pairs,
-        (inverse[: len(sizes)], inverse[len(sizes) :]),
-        np.fromiter(pubo.terms.values(), dtype=float, count=len(sizes)),
-    )
-
+    halves, pairs = pubo._half_table
     flat = psi.reshape(math.prod(psi.shape[:-1]), num_bits)
     block = max(1, _BLOCK_FLOATS // max(len(halves), num_bits + 1))
     # column num_bits is the constant 1 that padding indices select

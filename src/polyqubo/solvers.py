@@ -229,7 +229,7 @@ class AnnealSchedule:
             return (1.0, 1e-3)
         t_hot = self.t_hot if self.t_hot is not None else float(mags.max()) * qm.num_bits
         t_cold = self.t_cold if self.t_cold is not None else 1e-3 * float(mags.min())
-        if not (t_hot > 0 and t_cold > 0 and t_hot >= t_cold):
+        if not 0 < t_cold <= t_hot < np.inf:
             raise ValueError(f"bad temperature ladder: t_hot={t_hot!r}, t_cold={t_cold!r}")
         return (t_hot, t_cold)
 

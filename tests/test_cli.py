@@ -204,6 +204,25 @@ class TestErrorPaths:
                     "--output", tmp_path / "report.json"]) == 1
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("penalty", ["nan", "inf"])
+    def test_non_finite_penalty_rejected_without_aux(self, tmp_path, capsys, penalty):
+        # a degree-1 system allocates no auxiliary, so C is never used
+        out = tmp_path / "report.json"
+        argv = linear_argv(["solve-poly", LINEAR, "--bits", "2", "--penalty", penalty], tmp_path)
+        assert run(argv + ["--output", out]) == 1
+        assert "positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--t-hot", "inf"), ("--t-hot", "nan"),
+                                             ("--t-cold", "nan")])
+    def test_non_finite_temperature_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "report.json"
+        argv = linear_argv(["solve-linear", LINEAR, "--bits", "2", "--backend", "anneal",
+                            "--reads", "10", "--sweeps", "5", flag, value], tmp_path)
+        assert run(argv + ["--output", out]) == 1
+        assert "temperature ladder" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input(self, capsys):
         assert run(["solve-poly", "nope.json"]) == 1
         assert "not found" in capsys.readouterr().err

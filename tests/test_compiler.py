@@ -1,6 +1,7 @@
 """PUBO compilation, sparsification, quadratization, and the degree-1 entry point."""
 
 import tracemalloc
+from collections import defaultdict
 from itertools import combinations
 
 import numpy as np
@@ -68,6 +69,18 @@ def reference_quadratize(pubo, penalty, aux):
     return q, tuple(pairs)
 
 
+def reference_sparsify(raw, num_bits):
+    """sparsify's contract as a dictionary loop: ``(terms, offset)``."""
+    terms, offset = defaultdict(float), 0.0
+    for indices, coeff in raw:
+        key = tuple(sorted(set(indices)))
+        if key:
+            terms[key] += coeff
+        else:
+            offset += coeff
+    return {k: v for k, v in terms.items() if v != 0.0}, offset
+
+
 def dense_pubo(rng, num_bits, max_size):
     """Every index set up to ``max_size`` bits, with Gaussian coefficients."""
     raw = {
@@ -108,6 +121,43 @@ class TestSparsify:
         for indices, coeff in raw:
             direct += coeff * np.prod(states[:, list(indices)], axis=1)
         np.testing.assert_allclose(pubo_energy(pubo, states), direct, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), num_bits=st.integers(1, 7),
+           num_terms=st.integers(0, 25))
+    def test_matches_reference_loop_property(self, seed, num_bits, num_terms):
+        # repeats, permutations, empty tuples and exactly cancelling pairs
+        rng = np.random.default_rng(seed)
+        raw = []
+        for _ in range(num_terms):
+            indices = tuple(rng.integers(0, num_bits, size=rng.integers(0, 6)).tolist())
+            coeff = float(rng.standard_normal())
+            raw.append((indices, coeff))
+            if rng.random() < 0.3:
+                raw.append((tuple(rng.permutation(indices).tolist()), -coeff))
+        pubo = sparsify(raw, num_bits=num_bits)
+        terms, offset = reference_sparsify(raw, num_bits)
+        hexed = {k: v.hex() for k, v in terms.items()}
+        assert {k: v.hex() for k, v in pubo.terms.items()} == hexed
+        assert pubo.offset.hex() == offset.hex()
+        # the arrays: sorted, padded rows in ascending tuple order, as wide
+        # as the largest term, one nonzero coefficient each
+        assert list(pubo.terms) == sorted(terms)
+        assert pubo.rows.shape == (len(terms), max(map(len, terms), default=0))
+        for row, (term, coeff) in zip(pubo.rows.tolist(), pubo.terms.items()):
+            assert row == list(term) + [num_bits] * (pubo.rows.shape[1] - len(term))
+            assert coeff != 0.0
+        np.testing.assert_array_equal(pubo.coeffs, list(pubo.terms.values()))
+
+    def test_arrays_and_terms_read_only(self):
+        pubo = sparsify({(0, 1): 2.0, (2,): -1.0}, num_bits=3)
+        with pytest.raises(ValueError, match="read-only"):
+            pubo.rows[0, 0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            pubo.coeffs[0] = 5.0
+        with pytest.raises(TypeError):
+            pubo.terms[(0, 1)] = 5.0
+        assert pubo.terms == {(0, 1): 2.0, (2,): -1.0}
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -426,6 +476,24 @@ class TestQuadratize:
         with pytest.raises(ValueError, match="penalty"):
             quadratize(pubo, penalty=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+    @pytest.mark.parametrize("terms", [{(0, 1, 2): 1.0}, {(0, 1): 1.0}])
+    def test_bad_penalty_named_with_or_without_aux(self, terms, value):
+        with pytest.raises(ValueError, match="penalty .* must be a positive finite number"):
+            quadratize(sparsify(terms, num_bits=3), penalty=value)
+
+    def test_penalty_not_chosen_without_aux(self, monkeypatch, quad_system):
+        def refuse(pubo):
+            raise AssertionError("choose_penalty called with no auxiliary")
+
+        linear = PolynomialSystem([quad_system.coeffs[0], quad_system.coeffs[1]])
+        pubo = compile_pubo(linear, from_range([0.0, 0.0], [3.0, 3.0], 3))
+        monkeypatch.setattr(compiler, "choose_penalty", refuse)
+        qm = quadratize(pubo)
+        assert qm.num_aux == 0 and qm.penalty == 0.0
+        # compiling and quadratizing never evaluates, so builds no half table
+        assert "_half_table" not in vars(pubo)
+
 
 class TestLinearFastPath:
     def test_one_var_exact_root(self):
@@ -501,6 +569,37 @@ class TestEnergies:
         np.testing.assert_array_equal(singles, whole[::97])
         np.testing.assert_array_equal(pubo_energy(pubo, states.reshape(64, 64, 12)),
                                       whole.reshape(64, 64))
+
+    def test_cached_table_gives_identical_bits(self):
+        pubo = dense_pubo(np.random.default_rng(9), 12, 4)
+        states = all_bitstrings(12)
+        rows = [pubo_energy(pubo, states[s]) for s in range(0, 4096, 41)]
+        assert "_half_table" in vars(pubo)
+        whole = pubo_energy(pubo, states)
+        np.testing.assert_array_equal(pubo_energy(pubo, states), whole)
+        np.testing.assert_array_equal(rows, whole[::41])
+        # a fresh instance builds its own table and agrees bit for bit
+        fresh = dense_pubo(np.random.default_rng(9), 12, 4)
+        np.testing.assert_array_equal(pubo_energy(fresh, states[::41]), whole[::41])
+
+    def test_brute_force_builds_half_table_once(self, monkeypatch):
+        # 17 bits enumerate in four blocks of 2^15 states, plus the winner
+        rng = np.random.default_rng(10)
+        raw = [(tuple(rng.integers(0, 17, size=rng.integers(1, 5)).tolist()),
+                float(rng.integers(-9, 10))) for _ in range(40)]
+        pubo = sparsify(raw, num_bits=17)
+        calls = []
+        group_sets = compiler._group_sets
+
+        def counted(rows, num_bits):
+            calls.append(len(rows))
+            return group_sets(rows, num_bits)
+
+        monkeypatch.setattr(compiler, "_group_sets", counted)
+        result = brute_force(pubo)
+        assert len(calls) == 1
+        assert result.energy == pubo_energy(pubo, result.bits)
+        assert result.energy == pubo_energy(pubo, all_bitstrings(17)).min()
 
     def test_memory_bounded_on_full_enumeration(self):
         # 2^16 states of a dense 16-bit quartic: half products for the whole

@@ -1,6 +1,7 @@
 """Brute-force enumeration, simulated annealing, conjugate gradient."""
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -463,6 +464,14 @@ class TestAnnealSchedule:
     def test_inverted_ladder_rejected(self, quad_qubo):
         with pytest.raises(ValueError, match="ladder"):
             AnnealSchedule(t_hot=0.1, t_cold=1.0).resolve(quad_qubo)
+
+    @pytest.mark.parametrize("ladder", [(np.inf, 0.1), (np.nan, 0.1), (9.0, np.nan),
+                                        (np.inf, np.inf), (None, np.inf)])
+    def test_non_finite_ladder_rejected(self, quad_qubo, ladder):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bad temperature ladder"):
+                AnnealSchedule(*ladder).temperatures(quad_qubo, 5)
 
     def test_all_zero_matrix_fallback(self):
         qm = QuboMatrix(np.zeros((2, 2)), 0.0, 2)
