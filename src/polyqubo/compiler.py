@@ -15,10 +15,12 @@ A PUBO is two arrays (see :class:`PseudoBooleanPolynomial`) that every
 layer reads as they are.  :func:`compile_pubo` groups the index rows of the
 residuals' bit expansion by canonical set and squares the residuals through
 the Gram matrix of their coefficients; :func:`sparsify` groups raw terms the
-same way.  :func:`pubo_energy` evaluates a block of states as one bilinear
-form over products of term halves, a table each polynomial builds once.
-:func:`quadratize` maps every term and penalty entry to its matrix cell and
-sums them with one unbuffered ``np.add.at`` in term order, as a loop would.
+same way.  :func:`quadratize` maps every term and penalty entry to its
+matrix cell and sums them with one unbuffered ``np.add.at`` in term order,
+as a loop would.  A QUBO is a PUBO with terms of at most two bits
+(:attr:`QuboMatrix.pubo`), so :func:`pubo_energy` is the one evaluator of
+both: a bilinear form over products of term halves, a table each polynomial
+builds once, which gives a state the same energy alone as in any batch.
 
 Degree-1 systems take the same compiler (:func:`compile_linear_qubo`): their
 PUBO terms have at most two bits, so quadratization adds no auxiliaries.
@@ -121,7 +123,9 @@ class QuboMatrix:
     """Upper-triangular quadratic form over logical + auxiliary bits.
 
     Attributes:
-        matrix: (T, T) upper-triangular coefficient matrix, T = logical + aux.
+        matrix: (T, T) upper-triangular coefficient matrix, T = logical + aux,
+            held read-only: its view as a PUBO, :attr:`pubo`, is what every
+            evaluation and enumeration reads.
         offset: constant carried so energies read as residual sums of squares.
         num_logical: leading bit count that decodes to variables.
         aux_pairs: ordered logical pairs, one per auxiliary bit (aux k
@@ -136,7 +140,7 @@ class QuboMatrix:
     penalty: float = 0.0
 
     def __post_init__(self):
-        matrix, num_logical = np.asarray(self.matrix, dtype=float), int(self.num_logical)
+        matrix, num_logical = np.array(self.matrix, dtype=float), int(self.num_logical)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
@@ -158,8 +162,18 @@ class QuboMatrix:
         for i, j in aux_pairs:
             if not (0 <= i < j < num_logical):
                 raise ValueError(f"aux pair ({i}, {j}) is not an ordered logical pair")
+        matrix.flags.writeable = False
         for f, value in zip(fields(self), (matrix, offset, num_logical, aux_pairs, penalty)):
             object.__setattr__(self, f.name, value)
+
+    @cached_property
+    def pubo(self) -> PseudoBooleanPolynomial:
+        """This QUBO as a PUBO: entry (i, i) is the term (i,) and (i, j) is (i, j).
+        Row-major order is tuple order; a leading empty set carries the offset."""
+        n = self.num_bits
+        i, j = np.nonzero(self.matrix)
+        sets = np.stack([i, np.where(i < j, j, n)], axis=1)
+        return _collect(np.vstack([[n, n], sets]), np.r_[self.offset, self.matrix[i, j]], n)
 
     @property
     def num_bits(self) -> int:
@@ -368,6 +382,8 @@ def quadratize(
     num_aux = len(pairs)
     aux_of[pairs[:, 0], pairs[:, 1]] = n_log + np.arange(num_aux)
     c_pen = (choose_penalty(pubo) if penalty is None else float(penalty)) if num_aux else 0.0
+    if not math.isfinite(c_pen):
+        raise ValueError(f"chosen penalty {c_pen!r} is not finite; pass a finite penalty=")
     # each term is a product of two factors: bits, or auxiliaries for pairs
     left = np.where(sizes >= 3, aux_of[rows[:, 0], rows[:, 1]], rows[:, 0])
     last = rows[np.arange(len(sizes)), sizes - 1]
@@ -454,20 +470,16 @@ def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
 def qubo_energy(qm: QuboMatrix, bits) -> float | np.ndarray:
     """Evaluate a QUBO at a full bit vector (logical + aux), batched like psi.
 
-    A batch goes through one BLAS product, whose summation order can change
-    with a row's position in the batch, so a state's energy in a batch may
-    differ in its last bits from the same state evaluated alone.  That is
-    why both solvers report each winner's energy from a call on that one
-    state.
+    This is :func:`pubo_energy` of the PUBO view ``qm.pubo``, so a state's
+    energy is the same bits alone as in any batch.
     """
-    bits = np.asarray(bits, dtype=float)
+    bits = np.asarray(bits)
     if bits.ndim == 0 or bits.shape[-1] != qm.num_bits:
         raise ValueError(
             f"bit vector has length {bits.shape[-1] if bits.ndim else 0}, "
             f"QUBO expects {qm.num_bits} (={qm.num_logical} logical + {qm.num_aux} aux)"
         )
-    energy = np.sum((bits @ qm.matrix) * bits, axis=-1) + qm.offset
-    return float(energy) if energy.ndim == 0 else energy
+    return pubo_energy(qm.pubo, bits)
 
 
 def export_qubo(qm: QuboMatrix, path) -> None:

@@ -5,11 +5,12 @@ objective's constant offset, so a reported energy is directly a residual sum
 of squares.
 
 * :func:`brute_force` — exact enumeration of every bitstring, the ground
-  truth for objectives of at most ``_ENUMERATION_LIMIT`` = 24 bits.  The
-  bits split into a low and a high half, each tabulated once, and blocks of
-  high-half states are scored against every low-half state; the winner is
-  the lowest state integer among the exact ties, and ``num_ground`` counts
-  those ties.
+  truth for objectives of at most ``_ENUMERATION_LIMIT`` = 24 bits.  A QUBO
+  is enumerated as its PUBO view.  Each term is a bit mask split into a low
+  and a high half: terms wholly in one half are tabulated once over that
+  half's states, and the mixed terms form one matrix product per block of
+  high-half states against every low-half state.  The winner is the lowest
+  state integer among the exact ties, and ``num_ground`` counts those ties.
 * :func:`simulated_anneal` — single-flip Metropolis annealing, the software
   stand-in for annealing hardware.  Reads are independent trajectories with
   per-read generators seeded ``seed + read_index``, so chunked, parallel,
@@ -28,6 +29,7 @@ of squares.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,62 +93,54 @@ def check_enumerable(num_bits: int) -> None:
 def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceResult:
     """Exact search over every bitstring of a PUBO or QUBO objective.
 
-    The first ``lo = n // 2`` bits form the low half and the rest the high
-    half; each half's bitstrings are tabulated once by :func:`all_bitstrings`
-    (``B_lo``, ``B_hi``), and state ``s`` pairs low row ``s % 2**lo`` with
-    high row ``s >> lo``.  Blocks of high rows, each about ``_BLOCK_FLOATS``
-    states, are scored against every low row.  For a QUBO a block's energies
-    are
+    A QUBO is searched as its PUBO view.  State ``s = (h << lo) | l`` splits
+    at ``lo = n // 2``, and so does each term's bit mask, into ``low`` and
+    ``high``: the term's product on s is ``[l & low == low] [h & high == high]``.
+    Terms with no high bit sum into ``e_lo`` over the low states, terms with
+    no low bit into ``e_hi`` over the high states, and the mixed ones fill a
+    matrix M over their distinct masks (single bits for a QUBO).  Blocks of
+    about ``_BLOCK_FLOATS`` states, high-major, score as
 
-        E_hi[block, None] + E_lo[None, :] + B_hi[block] @ (B_lo @ Q[:lo, lo:]).T
+        e_hi[block, None] + e_lo[None, :] + C_hi[block] @ (M @ C_lo.T)
 
-    plus the offset, where ``E_lo`` and ``E_hi`` are the halves' own
-    energies: the matrix is upper triangular, so the halves meet only in the
-    cross term.  The offset comes last, as in :func:`qubo_energy`, so where
-    the quadratic sums are exact (integer coefficients, say) the energies
-    and their ties are those of a direct evaluation.  For a PUBO,
-    :func:`pubo_energy` evaluates the block's bit table.
-
-    A block read high-major is in ascending state order, so ties resolve to
-    the lowest state integer (bit i of the integer is bit i of the string),
-    and ``num_ground`` counts the states that tie the minimum exactly in
-    this arithmetic.  The reported energy is the winner's evaluated alone,
-    as the annealer evaluates its records, so it does not depend on the
-    block around it.
+    plus the offset, last, with ``C[s, k] = [s & mask_k == mask_k]``.  The
+    half tables and ``M @ C_lo.T`` are subset sums by mask, so where the
+    coefficients sum exactly (integers, say) the energies and their ties are
+    those of a direct evaluation.  Ties go to the lowest state integer (bit
+    i of the integer is bit i of the string), and ``num_ground`` counts the
+    states that tie the minimum exactly in this arithmetic.  The reported
+    energy is :func:`pubo_energy` of the winner alone, as the annealer
+    evaluates its records, so it does not depend on the block around it.
     """
     num_bits = objective.num_bits
     check_enumerable(num_bits)
-    energy_of = qubo_energy if isinstance(objective, QuboMatrix) else pubo_energy
-    lo = num_bits // 2
-    lo_bits, hi_bits = all_bitstrings(lo), all_bitstrings(num_bits - lo)
+    pubo = objective.pubo if isinstance(objective, QuboMatrix) else objective
+    lo, hi = num_bits // 2, num_bits - num_bits // 2
+    masks = np.bitwise_or.reduce(np.where(pubo.rows < num_bits, 1 << pubo.rows, 0), axis=1)
+    low, high = masks & ((1 << lo) - 1), masks >> lo
+    pure_lo, pure_hi = high == 0, low == 0
+    mixed = ~(pure_lo | pure_hi)
+    highs, which = np.unique(high[mixed], return_inverse=True)
+    e_lo, e_hi = np.zeros(1 << lo), np.zeros(1 << hi)
+    cross = np.zeros((len(highs), 1 << lo))
+    # distinct terms have distinct masks, so each cell gets one coefficient
+    e_lo[low[pure_lo]] = pubo.coeffs[pure_lo]
+    e_hi[high[pure_hi]] = pubo.coeffs[pure_hi]
+    cross[which, low[mixed]] = pubo.coeffs[mixed]
+    # subset sums over the last axis: each entry without bit b adds to the one with it
+    for table, width in ((e_lo, lo), (e_hi, hi), (cross, lo)):
+        for b in range(width):
+            pairs = table.reshape(*table.shape[:-1], 1 << (width - b - 1), 2, 1 << b)
+            pairs[..., 1, :] += pairs[..., 0, :]
+    high_states = np.arange(1 << hi)
     rows = max(1, _BLOCK_FLOATS >> lo)
-    if energy_of is qubo_energy:
-        q = objective.matrix
-        lo_f, hi_f = lo_bits.astype(float), hi_bits.astype(float)
-        e_lo = ((lo_f @ q[:lo, :lo]) * lo_f).sum(axis=1)
-        e_hi = ((hi_f @ q[lo:, lo:]) * hi_f).sum(axis=1)
-        cross_t = (lo_f @ q[:lo, lo:]).T
-
-        def block_energies(block: slice) -> np.ndarray:
-            energies = e_hi[block, None] + e_lo[None, :]
-            energies += hi_f[block] @ cross_t
-            energies += objective.offset
-            return energies
-
-    else:
-
-        def block_energies(block: slice) -> np.ndarray:
-            high = hi_bits[block]
-            table = np.hstack(
-                [np.tile(lo_bits, (len(high), 1)), np.repeat(high, len(lo_bits), axis=0)]
-            )
-            return pubo_energy(objective, table)
-
-    best_energy = np.inf
-    best_state = 0
-    num_ground = 0
-    for start in range(0, len(hi_bits), rows):
-        energies = block_energies(slice(start, start + rows)).ravel()
+    best_energy, best_state, num_ground = np.inf, 0, 0
+    for start in range(0, 1 << hi, rows):
+        block = slice(start, start + rows)
+        energies = e_hi[block, None] + e_lo[None, :]
+        energies += ((high_states[block, None] & highs) == highs).astype(float) @ cross
+        energies += pubo.offset
+        energies = energies.ravel()
         at = int(np.argmin(energies))
         least = energies[at]
         if least < best_energy:
@@ -155,9 +149,8 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
             num_ground = int(np.count_nonzero(energies == least))
         elif least == best_energy:
             num_ground += int(np.count_nonzero(energies == least))
-    high, low_row = divmod(best_state, 1 << lo)
-    ground_bits = np.concatenate([lo_bits[low_row], hi_bits[high]])
-    return BruteForceResult(ground_bits, energy_of(objective, ground_bits), num_ground)
+    ground_bits = ((best_state >> np.arange(num_bits)) & 1).astype(np.uint8)
+    return BruteForceResult(ground_bits, pubo_energy(pubo, ground_bits), num_ground)
 
 
 @dataclass(frozen=True)
@@ -214,10 +207,10 @@ class SampleSet:
 class AnnealSchedule:
     """Geometric temperature ladder.
 
-    Endpoints default to values derived from the objective: hot enough that
-    any single flip is plausible (max |coefficient| times the bit count),
-    cold enough to freeze the smallest coupling (1e-3 times the smallest
-    nonzero |coefficient|).
+    Unset endpoints are derived from the objective: hot enough that any
+    single flip is plausible (max |coefficient| times the bit count), cold
+    enough to freeze the smallest coupling (1e-3 times the smallest nonzero
+    |coefficient|), or 1 and 1e-3 for an all-zero objective.
     """
 
     t_hot: float | None = None
@@ -225,10 +218,11 @@ class AnnealSchedule:
 
     def resolve(self, qm: QuboMatrix) -> tuple[float, float]:
         mags = np.abs(qm.matrix[qm.matrix != 0])
-        if mags.size == 0:
-            return (1.0, 1e-3)
-        t_hot = self.t_hot if self.t_hot is not None else float(mags.max()) * qm.num_bits
-        t_cold = self.t_cold if self.t_cold is not None else 1e-3 * float(mags.min())
+        t_hot, t_cold = self.t_hot, self.t_cold
+        if t_hot is None:
+            t_hot = float(mags.max()) * qm.num_bits if mags.size else 1.0
+        if t_cold is None:
+            t_cold = 1e-3 * float(mags.min()) if mags.size else 1e-3
         if not 0 < t_cold <= t_hot < np.inf:
             raise ValueError(f"bad temperature ladder: t_hot={t_hot!r}, t_cold={t_cold!r}")
         return (t_hot, t_cold)
@@ -281,8 +275,8 @@ def simulated_anneal(
     how the reads are batched.  Reads are annealed in chunks of
     ``_READ_CHUNK``, and the uniforms are drawn in blocks of sweeps holding
     at most ``_UNIFORM_FLOATS`` per chunk, which leaves the stream unchanged.
-    Each read contributes its final state, and each distinct state's energy
-    is evaluated on its own, so it does not depend on the batch.
+    Each read contributes its final state; one :func:`qubo_energy` call
+    scores the distinct states, each with the energy it has alone.
 
     The bits split once into maximal runs of consecutive bits with zero
     coupling among them, and each sweep makes one vectorised Metropolis step
@@ -305,7 +299,7 @@ def simulated_anneal(
     # a lone bit indexes as an int: 1-d steps cost less than (reads, 1) ones
     runs = [a if b == a + 1 else slice(a, b) for a, b in _uncoupled_runs(coupling)]
 
-    tally: dict[bytes, list] = {}
+    tally: Counter[bytes] = Counter()  # packed final states, in first-seen order
     for start in range(0, reads, _READ_CHUNK):
         size = min(_READ_CHUNK, reads - start)
         rngs = [np.random.default_rng(seed + start + r) for r in range(size)]
@@ -326,21 +320,14 @@ def simulated_anneal(
                     delta = (1.0 - 2.0 * col) * (diag[run] + fields)
                     accept = uniforms[:, s, run] < np.exp(np.minimum(-delta / t, 0.0))
                     states[:, run] = np.where(accept, 1.0 - col, col)
-        keys = np.packbits(states.astype(np.uint8), axis=1)
-        for r in range(size):
-            key = keys[r].tobytes()
-            entry = tally.get(key)
-            if entry is None:
-                tally[key] = [tuple(int(b) for b in states[r]), 1]
-            else:
-                entry[1] += 1
+        tally.update(key.tobytes() for key in np.packbits(states.astype(np.uint8), axis=1))
 
-    # one state per call: BLAS gives a row of a batch last bits that depend
-    # on the rows around it, so a batched energy would depend on the chunks
+    packed = np.frombuffer(b"".join(tally), np.uint8).reshape(len(tally), -1)
+    finals = np.unpackbits(packed, axis=1, count=n)
     records = tuple(
         SampleRecord(bits, energy, count)
         for energy, bits, count in sorted(
-            (qubo_energy(qm, bits), bits, count) for bits, count in tally.values()
+            zip(qubo_energy(qm, finals).tolist(), map(tuple, finals.tolist()), tally.values())
         )
     )
     return SampleSet(records, total_reads=reads, rng_seed=seed)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyqubo import PolynomialSystem, compile_pubo, from_range
+from polyqubo import PolynomialSystem, compile_pubo, from_range, sparsify
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
@@ -56,3 +57,13 @@ def planted_pubo(rng, num_eq, num_vars, bits):
     const = -(lin @ root + np.einsum("ijk,j,k->i", quad, root, root))
     enc = from_range(-2.0, 2.0, bits, num_vars=num_vars)
     return compile_pubo(PolynomialSystem([const, lin, quad]), enc)
+
+
+def dense_pubo(rng, num_bits, max_size):
+    """Every index set up to ``max_size`` bits, with Gaussian coefficients."""
+    raw = {
+        t: float(rng.standard_normal())
+        for k in range(1, max_size + 1)
+        for t in combinations(range(num_bits), k)
+    }
+    return sparsify(raw, num_bits=num_bits)

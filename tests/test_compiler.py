@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_DIR, planted_pubo, random_encoding, random_system
+from conftest import GOLDEN_DIR, dense_pubo, planted_pubo, random_encoding, random_system
 from polyqubo import compiler
 from polyqubo import (
     PolynomialSystem,
@@ -79,16 +79,6 @@ def reference_sparsify(raw, num_bits):
         else:
             offset += coeff
     return {k: v for k, v in terms.items() if v != 0.0}, offset
-
-
-def dense_pubo(rng, num_bits, max_size):
-    """Every index set up to ``max_size`` bits, with Gaussian coefficients."""
-    raw = {
-        t: float(rng.standard_normal())
-        for k in range(1, max_size + 1)
-        for t in combinations(range(num_bits), k)
-    }
-    return sparsify(raw, num_bits=num_bits)
 
 
 class TestSparsify:
@@ -482,6 +472,11 @@ class TestQuadratize:
         with pytest.raises(ValueError, match="penalty .* must be a positive finite number"):
             quadratize(sparsify(terms, num_bits=3), penalty=value)
 
+    def test_overflowing_chosen_penalty_named(self):
+        # 1 + 2 * 1e308 overflows; the error names the penalty, not a matrix entry
+        with pytest.raises(ValueError, match="chosen penalty inf is not finite.*penalty="):
+            quadratize(sparsify({(0, 1, 2): 1e308}, num_bits=3))
+
     def test_penalty_not_chosen_without_aux(self, monkeypatch, quad_system):
         def refuse(pubo):
             raise AssertionError("choose_penalty called with no auxiliary")
@@ -634,6 +629,16 @@ class TestEnergies:
         np.testing.assert_allclose(pubo_energy(wide, spread), naive_energy(compact, states),
                                    rtol=1e-12)
 
+    def test_qubo_batch_equals_rows_alone(self):
+        # quadratized 76- and 208-bit planted systems; a BLAS quadratic form
+        # gave a third of these states other last bits in a batch than alone
+        rng = np.random.default_rng(7)
+        for shape in ((3, 3, 4), (4, 4, 5)):
+            qm = quadratize(planted_pubo(rng, *shape))
+            states = rng.integers(0, 2, (300, qm.num_bits))
+            alone = [qubo_energy(qm, state) for state in states]
+            assert qubo_energy(qm, states).tobytes() == np.array(alone).tobytes()
+
     def test_length_mismatch_rejected(self, quad_system, quad_encoding):
         pubo = compile_pubo(quad_system, quad_encoding)
         with pytest.raises(ValueError, match="length"):
@@ -655,6 +660,18 @@ class TestQuboMatrixValidation:
     def test_bad_aux_pair_rejected(self):
         with pytest.raises(ValueError, match="ordered logical pair"):
             QuboMatrix(np.zeros((3, 3)), 0.0, 2, aux_pairs=[(1, 1)])
+
+    def test_matrix_copied_read_only_and_viewed_as_pubo(self):
+        source = np.triu(np.arange(1.0, 10.0).reshape(3, 3))
+        source[0, 2] = 0.0
+        qm = QuboMatrix(source, 0.5, 3)
+        source[0, 1] = 7.0  # the QUBO holds its own copy
+        with pytest.raises(ValueError, match="read-only"):
+            qm.matrix[0, 1] = 7.0
+        assert qm.pubo.terms == {(0,): 1.0, (0, 1): 2.0, (1,): 5.0, (1, 2): 6.0, (2,): 9.0}
+        assert (qm.pubo.offset, qm.pubo.num_bits, qm.pubo.max_term_size) == (0.5, 3, 2)
+        assert qm.pubo is qm.pubo
+        assert QuboMatrix(np.diag([1.0, 0.0]), 0.0, 2).pubo.rows.tolist() == [[0]]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, value):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import planted_pubo, random_encoding, random_system
+from conftest import dense_pubo, planted_pubo, random_encoding, random_system
 from polyqubo import (
     AnnealSchedule,
     BruteForceResult,
@@ -184,7 +184,7 @@ class TestBruteForce:
     @given(
         seed=st.integers(0, 2**32 - 1),
         num_bits=st.integers(0, 13),
-        kind=st.sampled_from(["qubo", "pubo"]),
+        kind=st.sampled_from(["qubo", "pubo", "qubo view"]),
         pattern=st.sampled_from(["zero", "dense", "free bits"]),
         rows=st.sampled_from([1, 3, None]),
     )
@@ -192,12 +192,13 @@ class TestBruteForce:
         # integer coefficients keep every sum but the last, the real offset,
         # exact, so the split and a direct evaluation of all 2^n states must
         # agree on ties too; "free bits" plants multi-way ties: each bit that
-        # no term touches doubles the ground
+        # no term touches doubles the ground; a QUBO and its PUBO view give
+        # one result
         rng = np.random.default_rng(seed)
         free = rng.random(num_bits) < 0.4 if pattern == "free bits" else np.zeros(num_bits, bool)
         scale = 0 if pattern == "zero" else 3
         offset = float(rng.standard_normal()) if pattern != "zero" else 0.0
-        if kind == "qubo":
+        if kind != "pubo":
             matrix = np.triu(rng.integers(-scale, scale + 1, (num_bits, num_bits))).astype(float)
             matrix[free, :] = matrix[:, free] = 0.0
             objective, energy_fn = QuboMatrix(matrix, offset, num_bits), qubo_energy
@@ -214,6 +215,10 @@ class TestBruteForce:
             if rows is not None:
                 high_rows_per_block(patch, num_bits, rows)
             result = brute_force(objective)
+            if kind == "qubo view":
+                view = brute_force(objective.pubo)
+                np.testing.assert_array_equal(view.bits, result.bits)
+                assert (view.energy, view.num_ground) == (result.energy, result.num_ground)
         np.testing.assert_array_equal(result.bits, table[np.argmin(spectrum)])
         assert result.energy == spectrum.min()
         assert result.num_ground == np.count_nonzero(spectrum == spectrum.min())
@@ -234,6 +239,19 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_memory_bounded_on_dense_quartic(self):
+        # every set of at most 4 of 20 bits, 6195 terms: the mixed terms'
+        # subset-sum table is 175 high masks by 2^10 low states, 1.4 MB
+        pubo = dense_pubo(np.random.default_rng(2), 20, 4)
+        tracemalloc.start()
+        try:
+            result = brute_force(pubo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+        assert result.energy == pubo_energy(pubo, result.bits)
 
     def test_enumeration_limit(self):
         flat = brute_force(QuboMatrix(np.zeros((24, 24)), 1.5, 24))
@@ -379,7 +397,11 @@ class TestSimulatedAnneal:
                 monkeypatch.setattr(solvers, "_READ_CHUNK", chunk)
                 reports.add(simulated_anneal(qm, reads=reads, sweeps=30, seed=3).to_json())
             assert len(reports) == 1
-            assert len(SampleSet.from_json(reports.pop()).records) > 1
+            records = SampleSet.from_json(reports.pop()).records
+            assert len(records) > 1
+            # records are scored in one batch, each with its energy alone
+            for record in records:
+                assert record.energy == qubo_energy(qm, record.bits)
 
     def test_counts_sum_to_reads(self, quad_qubo):
         samples = simulated_anneal(quad_qubo, reads=123, sweeps=40, seed=2)
@@ -476,6 +498,16 @@ class TestAnnealSchedule:
     def test_all_zero_matrix_fallback(self):
         qm = QuboMatrix(np.zeros((2, 2)), 0.0, 2)
         assert AnnealSchedule().resolve(qm) == (1.0, 1e-3)
+
+    def test_all_zero_matrix_keeps_explicit_endpoints(self):
+        # the fallback fills only unset endpoints; set ones are used and checked
+        qm = QuboMatrix(np.zeros((2, 2)), 0.0, 2)
+        assert AnnealSchedule(t_hot=5.0).resolve(qm) == (5.0, 1e-3)
+        assert AnnealSchedule(t_cold=0.5).resolve(qm) == (1.0, 0.5)
+        assert AnnealSchedule(9.0, 0.1).resolve(qm) == (9.0, 0.1)
+        for ladder in ((5.0, np.inf), (np.nan, None), (None, 2.0)):
+            with pytest.raises(ValueError, match="bad temperature ladder"):
+                AnnealSchedule(*ladder).resolve(qm)
 
 
 class TestConjugateGradient:
