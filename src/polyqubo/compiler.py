@@ -169,11 +169,28 @@ class QuboMatrix:
     @cached_property
     def pubo(self) -> PseudoBooleanPolynomial:
         """This QUBO as a PUBO: entry (i, i) is the term (i,) and (i, j) is (i, j).
-        Row-major order is tuple order; a leading empty set carries the offset."""
+        Row-major order is tuple order; a leading empty set carries the offset.
+
+        Its half table (see :func:`pubo_energy`) comes straight from the
+        matrix: the halves are () if a diagonal entry is nonzero, then every
+        used bit in ascending order, and M is the matrix on those bits with
+        the diagonal moved to the () column."""
         n = self.num_bits
         i, j = np.nonzero(self.matrix)
-        sets = np.stack([i, np.where(i < j, j, n)], axis=1)
-        return _collect(np.vstack([[n, n], sets]), np.r_[self.offset, self.matrix[i, j]], n)
+        second, values = np.where(i < j, j, n), self.matrix[i, j]
+        pubo = _collect(
+            np.vstack([[n, n], np.stack([i, second], axis=1)]), np.r_[self.offset, values], n
+        )
+        used = np.zeros(n + 1, dtype=bool)  # index n is ()
+        used[i] = used[second] = True
+        order = np.r_[n, :n]  # tuple order: () first
+        halves = order[used[order]]
+        position = np.zeros(n + 1, dtype=np.intp)
+        position[halves] = np.arange(len(halves))
+        pairs = np.zeros((len(halves), len(halves)))
+        pairs[position[i], position[second]] = values
+        object.__setattr__(pubo, "_half_table", (halves[:, None], pairs))
+        return pubo
 
     @property
     def num_bits(self) -> int:

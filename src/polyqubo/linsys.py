@@ -66,8 +66,8 @@ class ConditionedSpec:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.kappa < 1.0:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa!r}")
+        if not 1.0 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa!r}")
 
 
 def make_conditioned_matrix(spec: ConditionedSpec) -> np.ndarray:
@@ -297,9 +297,12 @@ def iterate_solve(
     relative residual drops below ``_RESIDUAL_FLOOR``.  ``schedule`` is the
     annealer's ladder.
     ``bits`` must be at least 2: with one bit every round doubles the window.
+    ``num_iters`` must be at least 1.
     """
     if bits < 2:
         raise ValueError(f"iterative refinement needs bits >= 2 to shrink the window, got {bits}")
+    if num_iters < 1:
+        raise ValueError(f"iteration count num_iters must be >= 1, got {num_iters}")
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     n = p0.shape[0]

@@ -7,10 +7,10 @@ of squares.
 * :func:`brute_force` — exact enumeration of every bitstring, the ground
   truth for objectives of at most ``_ENUMERATION_LIMIT`` = 24 bits.  A QUBO
   is enumerated as its PUBO view.  Each term is a bit mask split into a low
-  and a high half: terms wholly in one half are tabulated once over that
-  half's states, and the mixed terms form one matrix product per block of
-  high-half states against every low-half state.  The winner is the lowest
-  state integer among the exact ties, and ``num_ground`` counts those ties.
+  and a high half; each block of high-half states is scored against every
+  low-half state by one matrix product, offset left out, and only blocks
+  that tie the least block minimum are scored again.  The winner is the
+  lowest state integer among the exact ties, counted in ``num_ground``.
 * :func:`simulated_anneal` — single-flip Metropolis annealing, the software
   stand-in for annealing hardware.  Reads are independent trajectories with
   per-read generators seeded ``seed + read_index``, so chunked, parallel,
@@ -96,21 +96,24 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
     A QUBO is searched as its PUBO view.  State ``s = (h << lo) | l`` splits
     at ``lo = n // 2``, and so does each term's bit mask, into ``low`` and
     ``high``: the term's product on s is ``[l & low == low] [h & high == high]``.
-    Terms with no high bit sum into ``e_lo`` over the low states, terms with
-    no low bit into ``e_hi`` over the high states, and the mixed ones fill a
-    matrix M over their distinct masks (single bits for a QUBO).  Blocks of
-    about ``_BLOCK_FLOATS`` states, high-major, score as
+    Terms with no low bit sum into ``e_hi`` over the high states.  The others
+    fill one row of M per distinct ``high`` (row 0 for mask 0, the low-only
+    terms), and subset sums turn M into ``R[k, l]``, the summed coefficients
+    of row k's terms on low state l, and one-hot rows into ``C[h, k] =
+    [h & high_k == high_k]``.  A block of about ``_BLOCK_FLOATS`` states,
+    high-major, scores as the one product
 
-        e_hi[block, None] + e_lo[None, :] + C_hi[block] @ (M @ C_lo.T)
+        [C[block] | e_hi[block]] @ [R ; 1]
 
-    plus the offset, last, with ``C[s, k] = [s & mask_k == mask_k]``.  The
-    half tables and ``M @ C_lo.T`` are subset sums by mask, so where the
-    coefficients sum exactly (integers, say) the energies and their ties are
-    those of a direct evaluation.  Ties go to the lowest state integer (bit
-    i of the integer is bit i of the string), and ``num_ground`` counts the
-    states that tie the minimum exactly in this arithmetic.  The reported
-    energy is :func:`pubo_energy` of the winner alone, as the annealer
-    evaluates its records, so it does not depend on the block around it.
+    into a reused buffer, and only its minimum is kept.  The blocks that tie
+    the least minimum are scored again: the first holds the winner, the
+    lowest state integer (bit i of the integer is bit i of the string), and
+    ``num_ground`` counts their states that tie it exactly.  The offset stays
+    out of the product, so where the coefficients sum exactly (integers, say)
+    the energies and their ties are those of a direct evaluation, whatever
+    the offset.  The reported energy is :func:`pubo_energy` of the winner
+    alone, as the annealer evaluates its records, so it does not depend on
+    the block around it.
     """
     num_bits = objective.num_bits
     check_enumerable(num_bits)
@@ -118,37 +121,34 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
     lo, hi = num_bits // 2, num_bits - num_bits // 2
     masks = np.bitwise_or.reduce(np.where(pubo.rows < num_bits, 1 << pubo.rows, 0), axis=1)
     low, high = masks & ((1 << lo) - 1), masks >> lo
-    pure_lo, pure_hi = high == 0, low == 0
-    mixed = ~(pure_lo | pure_hi)
-    highs, which = np.unique(high[mixed], return_inverse=True)
-    e_lo, e_hi = np.zeros(1 << lo), np.zeros(1 << hi)
-    cross = np.zeros((len(highs), 1 << lo))
+    pure_hi = low == 0
+    highs, which = np.unique(np.r_[0, high[~pure_hi]], return_inverse=True)
+    # [C | e_hi] and [R ; 1] by the states' masks, before the subset sums;
     # distinct terms have distinct masks, so each cell gets one coefficient
-    e_lo[low[pure_lo]] = pubo.coeffs[pure_lo]
-    e_hi[high[pure_hi]] = pubo.coeffs[pure_hi]
-    cross[which, low[mixed]] = pubo.coeffs[mixed]
-    # subset sums over the last axis: each entry without bit b adds to the one with it
-    for table, width in ((e_lo, lo), (e_hi, hi), (cross, lo)):
+    left, right = np.zeros((1 << hi, len(highs) + 1)), np.zeros((len(highs) + 1, 1 << lo))
+    left[highs, np.arange(len(highs))] = 1.0
+    left[high[pure_hi], -1] = pubo.coeffs[pure_hi]
+    right[which[1:], low[~pure_hi]] = pubo.coeffs[~pure_hi]
+    # subset sums over the states: each entry without bit b adds to the one with it
+    for table, width, per_state in ((left, hi, len(highs) + 1), (right[:-1], lo, 1)):
         for b in range(width):
-            pairs = table.reshape(*table.shape[:-1], 1 << (width - b - 1), 2, 1 << b)
-            pairs[..., 1, :] += pairs[..., 0, :]
-    high_states = np.arange(1 << hi)
-    rows = max(1, _BLOCK_FLOATS >> lo)
-    best_energy, best_state, num_ground = np.inf, 0, 0
-    for start in range(0, 1 << hi, rows):
-        block = slice(start, start + rows)
-        energies = e_hi[block, None] + e_lo[None, :]
-        energies += ((high_states[block, None] & highs) == highs).astype(float) @ cross
-        energies += pubo.offset
-        energies = energies.ravel()
-        at = int(np.argmin(energies))
-        least = energies[at]
-        if least < best_energy:
-            best_energy = least
-            best_state = (start << lo) + at
-            num_ground = int(np.count_nonzero(energies == least))
-        elif least == best_energy:
-            num_ground += int(np.count_nonzero(energies == least))
+            pairs = table.reshape(-1, 2, per_state << b)
+            pairs[:, 1] += pairs[:, 0]
+    right[-1] = 1.0
+    rows = min(max(1, _BLOCK_FLOATS >> lo), 1 << hi)
+    blocks = [left[start : start + rows] for start in range(0, 1 << hi, rows)]
+    buf = np.empty((rows, 1 << lo))
+
+    def score(block: np.ndarray) -> np.ndarray:  # the block's energies less the offset
+        return np.matmul(block, right, out=buf[: len(block)]).ravel()
+
+    minima = np.array([score(block).min() for block in blocks])
+    best_state, num_ground = 0, 0
+    for b in np.flatnonzero(minima == minima.min()):
+        ties = score(blocks[b]) == minima[b]
+        if not num_ground:
+            best_state = (int(b) * rows << lo) + int(np.argmax(ties))
+        num_ground += int(np.count_nonzero(ties))
     ground_bits = ((best_state >> np.arange(num_bits)) & 1).astype(np.uint8)
     return BruteForceResult(ground_bits, pubo_energy(pubo, ground_bits), num_ground)
 

@@ -196,6 +196,13 @@ class TestIterate:
         assert "bits >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_iterations_rejected(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["iterate", "--n", "4", "--bits", "4", "--iters", "0",
+                    "--backend", "brute", "--output", out]) == 1
+        assert "num_iters must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize("penalty", ["nan", "inf"])
@@ -221,6 +228,16 @@ class TestErrorPaths:
                             "--reads", "10", "--sweeps", "5", flag, value], tmp_path)
         assert run(argv + ["--output", out]) == 1
         assert "temperature ladder" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kind", "condition", "--kappas", "inf", "--backend", "brute"],
+        ["iterate", "--kappa", "nan", "--backend", "brute"],
+    ])
+    def test_non_finite_kappa_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        assert run(argv + ["--output", out]) == 1
+        assert "kappa must be finite and >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input(self, capsys):

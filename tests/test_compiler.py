@@ -13,6 +13,7 @@ from conftest import GOLDEN_DIR, dense_pubo, planted_pubo, random_encoding, rand
 from polyqubo import compiler
 from polyqubo import (
     PolynomialSystem,
+    PseudoBooleanPolynomial,
     QuboMatrix,
     all_bitstrings,
     brute_force,
@@ -576,6 +577,29 @@ class TestEnergies:
         # a fresh instance builds its own table and agrees bit for bit
         fresh = dense_pubo(np.random.default_rng(9), 12, 4)
         np.testing.assert_array_equal(pubo_energy(fresh, states[::41]), whole[::41])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), num_bits=st.integers(0, 12),
+           pattern=st.sampled_from(["empty", "diagonal", "dense", "sparse", "no diagonal"]))
+    def test_qubo_view_half_table_matches_general_path(self, seed, num_bits, pattern):
+        # a QUBO's view builds its half table from the matrix; a polynomial of
+        # the same rows builds it by grouping term halves, bit for bit the same
+        rng = np.random.default_rng(seed)
+        matrix = np.triu(rng.standard_normal((num_bits, num_bits)))
+        matrix[rng.random(matrix.shape) < (0.7 if pattern == "sparse" else 0.0)] = 0.0
+        if pattern == "empty":
+            matrix[:] = 0.0
+        elif pattern == "diagonal":
+            matrix = np.diag(np.diag(matrix))
+        elif pattern == "no diagonal":
+            np.fill_diagonal(matrix, 0.0)
+        view = QuboMatrix(matrix, float(rng.standard_normal()), num_bits).pubo
+        general = PseudoBooleanPolynomial(view.rows, view.coeffs, view.offset, num_bits)
+        for mine, theirs in zip(view._half_table, general._half_table):
+            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+            assert mine.tobytes() == theirs.tobytes()
+        states = rng.integers(0, 2, (int(rng.integers(1, 200)), num_bits))
+        assert pubo_energy(view, states).tobytes() == pubo_energy(general, states).tobytes()
 
     def test_brute_force_builds_half_table_once(self, monkeypatch):
         # 17 bits enumerate in four blocks of 2^15 states, plus the winner

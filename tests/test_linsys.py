@@ -61,6 +61,12 @@ class TestMakeConditionedMatrix:
         with pytest.raises(ValueError, match="size"):
             ConditionedSpec(0, 2.0)
 
+    @pytest.mark.parametrize("kappa", [float("inf"), float("nan")])
+    def test_non_finite_kappa_rejected(self, kappa):
+        # inf used to give an all-NaN matrix, and nan passed the kappa < 1 check
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            ConditionedSpec(3, kappa)
+
 
 class TestMakeRhs:
     @pytest.mark.parametrize(
@@ -300,6 +306,15 @@ class TestIterateSolve:
         monkeypatch.setattr(linsys, "solve", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="bits >= 2"):
             iterate_solve(np.eye(2), -np.ones(2), 1, 5, backend="brute")
+        assert calls == []
+
+    @pytest.mark.parametrize("num_iters", [0, -1])
+    def test_no_iteration_rejected_before_any_solve(self, monkeypatch, num_iters):
+        # zero iterations used to end in an IndexError from IterationTrace.final
+        calls = []
+        monkeypatch.setattr(linsys, "solve", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="num_iters must be >= 1, got"):
+            iterate_solve(np.eye(2), -np.ones(2), 3, num_iters, backend="brute")
         assert calls == []
 
     def test_anneal_backend_runs(self):

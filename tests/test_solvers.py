@@ -1,7 +1,9 @@
 """Brute-force enumeration, simulated annealing, conjugate gradient."""
 
+import math
 import tracemalloc
 import warnings
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -22,10 +24,13 @@ from polyqubo import (
     compile_linear_qubo,
     compile_pubo,
     conjugate_gradient,
+    decode,
     from_range,
+    nearest_bits,
     pubo_energy,
     quadratize,
     qubo_energy,
+    refine,
     simulated_anneal,
     solve,
     solvers,
@@ -161,6 +166,56 @@ class TestBruteForce:
         result = brute_force(sparsify({(0,): 0.0}, num_bits=3))
         assert result.num_ground == 8
         np.testing.assert_array_equal(result.bits, [0, 0, 0])
+
+    def test_offset_does_not_move_the_ground(self):
+        # the offset stays out of the enumeration: energies 1 apart stay
+        # apart even where an offset of 1e17 (ulp 16) would round them together
+        rng = np.random.default_rng(4)
+        matrix = np.triu(rng.integers(-3, 4, (10, 10))).astype(float)
+        base = brute_force(QuboMatrix(matrix, 0.0, 10))
+        for offset in (0.25, -7.0, 1e17):
+            shifted = brute_force(QuboMatrix(matrix, offset, 10))
+            np.testing.assert_array_equal(shifted.bits, base.bits)
+            assert shifted.num_ground == base.num_ground
+            assert shifted.energy == qubo_energy(QuboMatrix(matrix, offset, 10), shifted.bits)
+
+    def test_equal_minima_in_distant_blocks(self, monkeypatch):
+        # 6 bits in blocks of one high row (8 states): energy -1 on exactly
+        # the states 13 (block 1) and 50 (block 6), 0 elsewhere
+        def indicator(state):
+            ones = tuple(i for i in range(6) if state >> i & 1)
+            zeros = [i for i in range(6) if not state >> i & 1]
+            return [(ones + extra, -((-1.0) ** len(extra)))
+                    for k in range(len(zeros) + 1) for extra in combinations(zeros, k)]
+
+        pubo = sparsify(indicator(50) + indicator(13), num_bits=6)
+        high_rows_per_block(monkeypatch, 6, 1)
+        result = brute_force(pubo)
+        assert result.num_ground == 2
+        np.testing.assert_array_equal(result.bits, [(13 >> i) & 1 for i in range(6)])
+        assert result.energy == -1.0
+
+    @pytest.mark.parametrize("seed, rounds, bits, num_ground", [
+        (0, 0, "00100001100010100111", 1),
+        (1, 1, "10010010010111011101", 1),
+        (2, 2, "10110000101000111001", 1),
+        (3, 0, "00100001101100101011", 1),
+        (4, 1, "11010011010010111010", 1),
+    ])
+    def test_golden_refinement_rounds(self, seed, rounds, bits, num_ground):
+        # 20-bit rounds of the refinement loop: a 4x4 system (kappa 1.1) on a
+        # window around its solution, refined ``rounds`` times about the
+        # nearest grid point; energies are pubo_energy of the bits, so only
+        # the bits and the tie count are pinned
+        p1, p0 = make_conditioned_matrix(ConditionedSpec(4, 1.1, seed=seed)), make_rhs(4)
+        x = conjugate_gradient(p1, p0, tol=1e-10).solution
+        width = math.ceil(10.0 * float(np.max(np.abs(x)))) / 8.0
+        enc = from_range(-width, width, 5, num_vars=4)
+        for _ in range(rounds):
+            enc = refine(enc, decode(enc, nearest_bits(enc, x)))
+        result = brute_force(compile_linear_qubo(PolynomialSystem([p0, p1]), enc))
+        assert "".join(map(str, result.bits)) == bits
+        assert result.num_ground == num_ground
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_energy_is_the_winner_alone(self, seed, monkeypatch):
