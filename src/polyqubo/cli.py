@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .compiler import compile_linear_qubo, compile_pubo, quadratize
+from .compiler import compile_pubo, quadratize
 from .encoding import decode, from_range
 from .linsys import (
     ConditionedSpec,
@@ -92,29 +92,30 @@ def _write_report(report: dict, path: str, fmt: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["field", "value"])
-            for key, value in sorted(_flatten(report).items()):
-                writer.writerow([key, value])
+            writer.writerows(_flatten(report))
 
 
 def _flatten(doc, prefix=""):
-    flat = {}
-    for key, value in doc.items():
+    """(dotted name, value) rows in sorted key order.  A dict or a list of
+    dicts recurses, the list by index; any other list joins its items by ';'."""
+    items = sorted(doc.items()) if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
         name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten(value, name + "."))
+        if isinstance(value, dict) or (isinstance(value, list) and value
+                                       and isinstance(value[0], dict)):
+            yield from _flatten(value, name + ".")
         elif isinstance(value, list):
-            flat[name] = ";".join(str(v) for v in value)
+            yield name, ";".join(str(v) for v in value)
         else:
-            flat[name] = value
-    return flat
+            yield name, value
 
 
-def _add_common(p, *, encoding=True):
+def _add_common(p, backends=("brute", "anneal", "cg"), *, encoding=True):
     if encoding:
         p.add_argument("--lo", default="-1", help="range lower bound (scalar or comma list)")
         p.add_argument("--hi", default="1", help="range upper bound (scalar or comma list)")
         p.add_argument("--bits", type=int, default=2, help="bits per variable")
-    p.add_argument("--backend", choices=["brute", "anneal", "cg"], default="brute")
+    p.add_argument("--backend", choices=backends, default="brute")
     p.add_argument("--reads", type=int, default=1000)
     p.add_argument("--sweeps", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
@@ -157,7 +158,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bits-list", default=None, help="comma list of bit counts (kind=precision)")
     p.add_argument("--n", type=int, default=None, help="fixed system size")
     p.add_argument("--kappa", type=float, default=None, help="fixed condition number")
-    _add_common(p, encoding=False)
+    _add_common(p, ("brute", "anneal"), encoding=False)
     p.add_argument("--bits", type=int, default=None, help="fixed bits per variable")
 
     p = sub.add_parser("iterate", help="iterative shrinking-window refinement")
@@ -165,7 +166,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa", type=float, default=1.1)
     p.add_argument("--iters", type=int, default=9)
     p.add_argument("--instance-seed", type=int, default=0, help="matrix generation seed")
-    _add_common(p)
+    _add_common(p, ("brute", "anneal"))
     return parser
 
 
@@ -191,50 +192,36 @@ def _solve_backend(qm, args):
     return bits, energy, extras
 
 
-def _cmd_solve_poly(args) -> dict:
+def _cmd_solve(args) -> dict:
     system = _load_input(args.input)
+    linear = args.command == "solve-linear"
+    if linear and system.degree != 1:
+        raise ConfigError(f"solve-linear requires a degree-1 system, got degree {system.degree}")
     enc = _encoding_for(args, system.num_variables)
     if args.backend == "cg":
         if system.degree != 1:
             raise ConfigError("backend=cg only valid for degree-1 systems")
         return _cg_report(args, system)
     pubo = compile_pubo(system, enc)
-    qm = quadratize(pubo, penalty=args.penalty, aux=args.aux)
+    # only solve-poly has --penalty and --aux
+    qm = quadratize(
+        pubo, penalty=getattr(args, "penalty", None), aux=getattr(args, "aux", "lazy")
+    )
     bits, energy, solver_info = _solve_backend(qm, args)
     x = decode(enc, bits[: enc.num_bits])
-    return {
-        "config": _echo_config(args),
-        "problem": {
-            "bits": qm.num_logical,
-            "auxiliaries": qm.num_aux,
-            "penalty": qm.penalty,
-            "pubo_terms": len(pubo.coeffs),
-        },
-        "solver": solver_info,
-        "energy": float(energy),
-        "solution": x.tolist(),
-        "chi_squared": float(chi_squared(system, x)),
-    }
-
-
-def _cmd_solve_linear(args) -> dict:
-    system = _load_input(args.input)
-    if system.degree != 1:
-        raise ConfigError(f"solve-linear requires a degree-1 system, got degree {system.degree}")
-    if args.backend == "cg":
-        return _cg_report(args, system)
-    enc = _encoding_for(args, system.num_variables)
-    qm = compile_linear_qubo(system, enc)
-    bits, energy, solver_info = _solve_backend(qm, args)
-    x = decode(enc, bits)
-    return {
+    report = {
         "config": _echo_config(args),
         "problem": {"bits": qm.num_logical, "auxiliaries": qm.num_aux, "penalty": qm.penalty},
         "solver": solver_info,
         "energy": float(energy),
         "solution": x.tolist(),
-        "relative_residual": relative_residual(system.coeffs[1], system.coeffs[0], x),
     }
+    if linear:
+        report["relative_residual"] = relative_residual(system.coeffs[1], system.coeffs[0], x)
+    else:
+        report["problem"]["pubo_terms"] = len(pubo.coeffs)
+        report["chi_squared"] = float(chi_squared(system, x))
+    return report
 
 
 def _cg_report(args, system) -> dict:
@@ -307,8 +294,6 @@ def _cmd_sweep(args) -> dict | list:
         values = [caster(v) for v in text.split(",")]
     except ValueError as err:
         raise ConfigError(f"bad sweep value list {text!r}") from err
-    if args.backend == "cg":
-        raise ConfigError("sweep supports brute and anneal backends")
     rows = run_sweep(
         args.kind,
         values,
@@ -333,8 +318,6 @@ def _cmd_iterate(args) -> dict:
     spec = ConditionedSpec(args.n, args.kappa, seed=args.instance_seed)
     p1 = make_conditioned_matrix(spec)
     p0 = make_rhs(args.n)
-    if args.backend == "cg":
-        raise ConfigError("iterate refines a sampling backend; use brute or anneal")
     lo = _parse_vec(args.lo, args.n, "--lo")
     hi = _parse_vec(args.hi, args.n, "--hi")
     trace = iterate_solve(
@@ -385,8 +368,8 @@ def _echo_config(args) -> dict:
 
 
 _COMMANDS = {
-    "solve-poly": (_cmd_solve_poly, "solve_poly_report"),
-    "solve-linear": (_cmd_solve_linear, "solve_linear_report"),
+    "solve-poly": (_cmd_solve, "solve_poly_report"),
+    "solve-linear": (_cmd_solve, "solve_linear_report"),
     "regress": (_cmd_regress, "regress_report"),
     "sweep": (_cmd_sweep, "sweep_report"),
     "iterate": (_cmd_iterate, "iterate_report"),

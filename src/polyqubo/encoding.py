@@ -138,6 +138,11 @@ def from_range(lo, hi, bits: int, num_vars: int | None = None) -> BitEncoding:
     return BitEncoding(scale, lo, bits)
 
 
+def _grid_index(enc: BitEncoding, x: np.ndarray) -> np.ndarray:
+    """Index k of the grid point nearest each component, clipped to 0 .. 2^R - 1."""
+    return np.clip(np.rint((x - enc.offset) / enc.scale), 0, 2**enc.bits - 1)
+
+
 def nearest_bits(enc: BitEncoding, x) -> np.ndarray:
     """Bits of the representable point closest to ``x`` (clipped to range)."""
     x = np.asarray(x, dtype=float)
@@ -145,13 +150,8 @@ def nearest_bits(enc: BitEncoding, x) -> np.ndarray:
         raise ValueError(
             f"point has shape {x.shape}, encoding expects ({enc.num_vars},)"
         )
-    k = np.clip(np.rint((x - enc.offset) / enc.scale), 0, 2**enc.bits - 1)
-    k = k.astype(np.int64)
-    psi = np.zeros(enc.num_bits, dtype=np.uint8)
-    for j in range(enc.num_vars):
-        for r in range(enc.bits):
-            psi[j * enc.bits + r] = (k[j] >> r) & 1
-    return psi
+    k = _grid_index(enc, x).astype(np.int64)
+    return ((k[:, None] >> np.arange(enc.bits)) & 1).astype(np.uint8).ravel()
 
 
 def refine(enc: BitEncoding, x_star) -> BitEncoding:
@@ -169,8 +169,7 @@ def refine(enc: BitEncoding, x_star) -> BitEncoding:
         raise ValueError(
             f"incumbent has shape {x_star.shape}, encoding expects ({enc.num_vars},)"
         )
-    k = np.clip(np.rint((x_star - enc.offset) / enc.scale), 0, 2**enc.bits - 1)
-    snapped = enc.offset + enc.scale * k
+    snapped = enc.offset + enc.scale * _grid_index(enc, x_star)
     # allow a small cushion over half a step for floating-point drift
     tol = 0.5 * enc.scale * (1 + 1e-9) + 1e-15
     if np.any(np.abs(x_star - snapped) > tol):

@@ -88,11 +88,9 @@ def make_conditioned_matrix(spec: ConditionedSpec) -> np.ndarray:
 
 
 def make_rhs(n: int) -> np.ndarray:
-    """Evenly spaced decimals from 1 down to -1 (length-1 case degenerates to 1)."""
+    """Evenly spaced decimals from 1 down to -1 (length 1 gives [1.0])."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return np.array([1.0])
     return np.linspace(1.0, -1.0, n)
 
 

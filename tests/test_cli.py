@@ -1,5 +1,6 @@
 """Command-line workflows: reports, exit codes, reproducibility."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, REPO_ROOT
-from polyqubo import chi_squared, load_system, save_system, PolynomialSystem
+from polyqubo import CgReport, chi_squared, load_system, save_system, PolynomialSystem
+from polyqubo import cli
 from polyqubo.cli import main
 
 QUAD_FIXTURE = str(FIXTURE_DIR / "quadratic_2x2.json")
@@ -329,3 +331,77 @@ class TestSolverFlags:
             "print('numpy.ma' in sys.modules)"
         )
         assert self._child_output(code) == "False"
+
+
+class TestCsvReports:
+    @pytest.mark.parametrize("argv", [
+        ["solve-poly", QUAD_FIXTURE, "--lo", "0", "--hi", "3", "--bits", "2"],
+        ["solve-linear", LINEAR, "--bits", "2", "--backend", "anneal", "--reads", "20",
+         "--sweeps", "10"],
+        ["regress", "--noiseless", "--basis", "poly:1", "--bits", "3", "--lo", "0",
+         "--hi", "70"],
+        ["iterate", "--n", "2", "--bits", "3", "--iters", "3"],
+    ])
+    def test_cells_are_scalars(self, tmp_path, argv):
+        out = tmp_path / "report.csv"
+        assert run(linear_argv(argv, tmp_path) + ["--format", "csv", "--output", out]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["field", "value"]
+        for name, cell in rows[1:]:
+            # nested dicts and lists of dicts become dotted rows; null is a blank cell
+            assert not any(ch in cell for ch in "{}[]'\""), (name, cell)
+            assert "None" not in cell, (name, cell)
+
+    def test_iterations_flatten_by_index(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert run(["iterate", "--n", "2", "--bits", "3", "--iters", "2", "--backend", "brute",
+                    "--format", "csv", "--output", out]) == 0
+        with open(out, newline="") as fh:
+            cells = dict(list(csv.reader(fh))[1:])
+        assert "iterations" not in cells
+        assert cells["iterations.0.iteration"] == "0"
+        assert cells["iterations.1.iteration"] == "1"
+        assert cells["iterations.0.hit_fraction"] == ""  # brute force has no hit fraction
+        assert len(cells["iterations.0.bits"]) == 6
+
+
+class TestCgPaths:
+    def test_unconverged_cg_exits_2(self, tmp_path, capsys, monkeypatch):
+        def stalled(p1, p0):
+            return CgReport(np.zeros(len(p0)), 7, 0.5, False)
+
+        monkeypatch.setattr(cli, "conjugate_gradient", stalled)
+        out = tmp_path / "report.json"
+        argv = linear_argv(["solve-linear", LINEAR, "--backend", "cg"], tmp_path)
+        assert run(argv + ["--output", out]) == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_poly_cg_matches_solve_linear(self, tmp_path):
+        reports = []
+        for command in ("solve-poly", "solve-linear"):
+            out = tmp_path / f"{command}.json"
+            argv = linear_argv([command, LINEAR, "--backend", "cg"], tmp_path)
+            assert run(argv + ["--output", out]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["solution"] == reports[1]["solution"]
+        np.testing.assert_allclose(reports[0]["solution"], [0.5, -0.5, -2.0 / 3.0], rtol=1e-6)
+
+    def test_regress_cg_recovers_coefficients(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["regress", "--noiseless", "--backend", "cg", "--output", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["solver"]["backend"] == "cg"
+        np.testing.assert_allclose(report["solution"], [8.0, 4.0, 7.0], atol=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kind", "condition", "--kappas", "1.1"],
+        ["iterate"],
+    ])
+    def test_sampling_commands_offer_no_cg(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        assert run(argv + ["--backend", "cg", "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "cg" in err
+        assert not out.exists()

@@ -160,6 +160,23 @@ class TestNearestBits:
         np.testing.assert_array_equal(snapped, psi)
         np.testing.assert_array_equal(decode(enc, snapped), point)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        windows=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)), min_size=1, max_size=4
+        ),
+        bits=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_snaps_off_grid_points_to_nearest(self, windows, bits, seed):
+        lo = np.array([w[0] for w in windows])
+        enc = from_range(lo, lo + np.array([w[1] for w in windows]), bits)
+        x = np.random.default_rng(seed).uniform(enc.lo - enc.scale, enc.hi + enc.scale)
+        psi = nearest_bits(enc, x)
+        assert psi.dtype == np.uint8 and psi.shape == (enc.num_bits,)
+        gap = np.abs(decode(enc, psi) - np.clip(x, enc.lo, enc.hi))
+        assert np.all(gap <= 0.5 * enc.scale + 1e-12 * (1 + np.abs(x)))
+
     def test_clips_outside_range(self):
         enc = from_range([0.0], [3.0], 2)
         np.testing.assert_array_equal(nearest_bits(enc, [99.0]), [1, 1])
