@@ -35,7 +35,7 @@ print("\n--- the same fit by simulated annealing ---")
 fit_sa = pq.fit_qubo(data, basis, enc, backend="anneal",
                      reads=100_000, sweeps=200, seed=0)
 print("best sampled parameters:", fit_sa.params)
-print(f"reads at the lowest sampled energy: {fit_sa.samples.ground_fraction():.2%}")
+print(f"reads at the lowest sampled energy: {fit_sa.solver['ground_fraction']:.2%}")
 
 print("\n--- a noisy draw moves the estimator off the integer grid ---")
 noisy = pq.generate_dataset(num_points=50, corr_base=0.9, noise_seed=7)

@@ -36,12 +36,13 @@ from .polysys import chi_squared, load_system
 from .regression import (
     fit_qubo,
     generate_dataset,
+    gls_objective,
     load_dataset_csv,
     normal_equations,
     polynomial_basis,
     save_dataset_csv,
 )
-from .solvers import AnnealSchedule, BruteForceResult, conjugate_gradient, solve
+from .solvers import AnnealSchedule, conjugate_gradient, solve
 
 
 class ConfigError(Exception):
@@ -72,8 +73,26 @@ def _parse_vec(text: str, num_vars: int, flag: str) -> np.ndarray:
     return np.array(parts)
 
 
-def _schedule(args) -> AnnealSchedule:
-    return AnnealSchedule(t_hot=args.t_hot, t_cold=args.t_cold)
+def _solver_args(args) -> dict:
+    """The keyword arguments every command passes on to :func:`solve`."""
+    return {
+        "reads": args.reads,
+        "sweeps": args.sweeps,
+        "seed": args.seed,
+        "schedule": AnnealSchedule(t_hot=args.t_hot, t_cold=args.t_cold),
+    }
+
+
+def _anneal_flags(args) -> None:
+    """Default the anneal-only flags under ``--backend anneal``; refuse them under any other."""
+    for name, default in (("reads", 1000), ("sweeps", 500), ("t_hot", None), ("t_cold", None)):
+        if args.backend == "anneal" and getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.backend != "anneal" and getattr(args, name) is not None:
+            raise ConfigError(
+                f"--{name.replace('_', '-')} applies only to --backend anneal, "
+                f"not --backend {args.backend}"
+            )
 
 
 def _out_path(args, default_name: str) -> str:
@@ -116,11 +135,12 @@ def _add_common(p, backends=("brute", "anneal", "cg"), *, encoding=True):
         p.add_argument("--hi", default="1", help="range upper bound (scalar or comma list)")
         p.add_argument("--bits", type=int, default=2, help="bits per variable")
     p.add_argument("--backend", choices=backends, default="brute")
-    p.add_argument("--reads", type=int, default=1000)
-    p.add_argument("--sweeps", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-hot", type=float, default=None, help="override hot temperature")
-    p.add_argument("--t-cold", type=float, default=None, help="override cold temperature")
+    anneal = p.add_argument_group("anneal only", "refused with any other backend")
+    anneal.add_argument("--reads", type=int, help="independent reads (default 1000)")
+    anneal.add_argument("--sweeps", type=int, help="sweeps per read (default 500)")
+    anneal.add_argument("--t-hot", type=float, help="override hot temperature")
+    anneal.add_argument("--t-cold", type=float, help="override cold temperature")
     p.add_argument("--output", default=None, help="report path (default: per-command name)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -170,75 +190,47 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _solve_backend(qm, args):
-    """Solve with the flagged backend; returns (bits, energy, solver report)."""
-    schedule = _schedule(args)
-    bits, energy, result = solve(
-        qm, args.backend, reads=args.reads, sweeps=args.sweeps, seed=args.seed,
-        schedule=schedule,
-    )
-    if isinstance(result, BruteForceResult):
-        return bits, energy, {"backend": "brute", "num_ground": result.num_ground}
-    t_hot, t_cold = schedule.resolve(qm)
-    extras = {
-        "backend": "anneal",
-        "reads": args.reads,
-        "sweeps": args.sweeps,
-        "seed": args.seed,
-        "t_hot": t_hot,
-        "t_cold": t_cold,
-        "ground_fraction": result.ground_fraction(),
-    }
-    return bits, energy, extras
-
-
 def _cmd_solve(args) -> dict:
     system = _load_input(args.input)
     linear = args.command == "solve-linear"
     if linear and system.degree != 1:
         raise ConfigError(f"solve-linear requires a degree-1 system, got degree {system.degree}")
     enc = _encoding_for(args, system.num_variables)
+    report = {"config": _echo_config(args)}
     if args.backend == "cg":
         if system.degree != 1:
             raise ConfigError("backend=cg only valid for degree-1 systems")
-        return _cg_report(args, system)
-    pubo = compile_pubo(system, enc)
-    # only solve-poly has --penalty and --aux
-    qm = quadratize(
-        pubo, penalty=getattr(args, "penalty", None), aux=getattr(args, "aux", "lazy")
-    )
-    bits, energy, solver_info = _solve_backend(qm, args)
-    x = decode(enc, bits[: enc.num_bits])
-    report = {
-        "config": _echo_config(args),
-        "problem": {"bits": qm.num_logical, "auxiliaries": qm.num_aux, "penalty": qm.penalty},
-        "solver": solver_info,
-        "energy": float(energy),
-        "solution": x.tolist(),
-    }
-    if linear:
+        x, report["solver"] = _cg(system)
+    else:
+        pubo = compile_pubo(system, enc)
+        # only solve-poly has --penalty and --aux
+        qm = quadratize(
+            pubo, penalty=getattr(args, "penalty", None), aux=getattr(args, "aux", "lazy")
+        )
+        bits, energy, report["solver"] = solve(qm, args.backend, **_solver_args(args))
+        x = decode(enc, bits[: enc.num_bits])
+        report["problem"] = {"bits": qm.num_logical, "auxiliaries": qm.num_aux,
+                             "penalty": qm.penalty}
+        if not linear:
+            report["problem"]["pubo_terms"] = len(pubo.coeffs)
+        report["energy"] = float(energy)
+    report["solution"] = x.tolist()
+    if linear or args.backend == "cg":
         report["relative_residual"] = relative_residual(system.coeffs[1], system.coeffs[0], x)
     else:
-        report["problem"]["pubo_terms"] = len(pubo.coeffs)
         report["chi_squared"] = float(chi_squared(system, x))
     return report
 
 
-def _cg_report(args, system) -> dict:
+def _cg(system) -> tuple[np.ndarray, dict]:
+    """Conjugate-gradient root of a degree-1 system and its solver block."""
     report = conjugate_gradient(system.coeffs[1], system.coeffs[0])
     if not report.converged:
         raise SolverError(
             f"conjugate gradient did not converge in {report.iterations} iterations "
             f"(residual norm ratio {report.residual_norm_ratio:.3e})"
         )
-    return {
-        "config": _echo_config(args),
-        "solver": {"backend": "cg", "iterations": report.iterations},
-        "solution": report.solution.tolist(),
-        "relative_residual": relative_residual(
-            system.coeffs[1], system.coeffs[0], report.solution
-        ),
-    }
+    return report.solution, {"backend": "cg", "iterations": report.iterations}
 
 
 def _cmd_regress(args) -> dict:
@@ -254,33 +246,19 @@ def _cmd_regress(args) -> dict:
     degree = int(args.basis.split(":", 1)[1])
     basis = polynomial_basis(data.x_grid, degree)
     enc = _encoding_for(args, basis.num_params)
+    report = {"config": _echo_config(args)}
     if args.backend == "cg":
-        return _cg_report(args, normal_equations(data, basis))
-    fit = fit_qubo(
-        data,
-        basis,
-        enc,
-        backend=args.backend,
-        reads=args.reads,
-        sweeps=args.sweeps,
-        seed=args.seed,
-        schedule=_schedule(args),
-    )
-    solver_info = {"backend": args.backend}
-    if fit.samples is not None:
-        solver_info.update(
-            reads=args.reads, sweeps=args.sweeps, seed=args.seed,
-            ground_fraction=fit.samples.ground_fraction(),
-        )
-    return {
-        "config": _echo_config(args),
-        "problem": {"bits": enc.num_bits, "auxiliaries": 0, "penalty": 0.0},
-        "solver": solver_info,
-        "parameters": fit.params.tolist(),
-        "bits": "".join(str(int(b)) for b in fit.bits),
-        "qubo_energy": fit.qubo_energy,
-        "gls_rss": fit.gls_rss,
-    }
+        params, report["solver"] = _cg(normal_equations(data, basis))
+        gls_rss = gls_objective(data, basis, params)
+    else:
+        fit = fit_qubo(data, basis, enc, backend=args.backend, **_solver_args(args))
+        params, gls_rss, report["solver"] = fit.params, fit.gls_rss, fit.solver
+        report["problem"] = {"bits": enc.num_bits, "auxiliaries": 0, "penalty": 0.0}
+        report["bits"] = "".join(str(int(b)) for b in fit.bits)
+        report["qubo_energy"] = fit.qubo_energy
+    report["parameters"] = params.tolist()
+    report["gls_rss"] = gls_rss
+    return report
 
 
 def _cmd_sweep(args) -> dict | list:
@@ -301,17 +279,9 @@ def _cmd_sweep(args) -> dict | list:
         kappa=args.kappa,
         bits=args.bits,
         backend=args.backend,
-        reads=args.reads,
-        sweeps=args.sweeps,
-        seed=args.seed,
-        schedule=_schedule(args),
+        **_solver_args(args),
     )
-    # keep reports strict JSON: blank cells are null, not NaN
-    clean = [
-        {k: (None if isinstance(v, float) and np.isnan(v) else v) for k, v in row.items()}
-        for row in rows
-    ]
-    return {"config": _echo_config(args), "columns": list(SWEEP_COLUMNS), "rows": clean}
+    return {"config": _echo_config(args), "columns": list(SWEEP_COLUMNS), "rows": rows}
 
 
 def _cmd_iterate(args) -> dict:
@@ -328,10 +298,7 @@ def _cmd_iterate(args) -> dict:
         backend=args.backend,
         initial_lo=lo,
         initial_hi=hi,
-        reads=args.reads,
-        sweeps=args.sweeps,
-        seed=args.seed,
-        schedule=_schedule(args),
+        **_solver_args(args),
     )
     return {
         "config": _echo_config(args),
@@ -380,6 +347,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _anneal_flags(args)
         handler, default_stem = _COMMANDS[args.command]
         started = time.perf_counter()
         report = handler(args)

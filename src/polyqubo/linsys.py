@@ -30,7 +30,7 @@ import numpy as np
 from .compiler import compile_linear_qubo
 from .encoding import BitEncoding, decode, from_range, nearest_bits, refine
 from .polysys import PolynomialSystem
-from .solvers import AnnealSchedule, SampleSet, check_enumerable, conjugate_gradient, solve
+from .solvers import AnnealSchedule, check_enumerable, conjugate_gradient, solve
 
 __all__ = [
     "ConditionedSpec",
@@ -162,9 +162,10 @@ def run_sweep(
     ladder.  Each point's search range spans exactly the min/max components
     of its reference solution.
 
-    Returns one row per point with the columns in :data:`SWEEP_COLUMNS`.
-    The forward-error prediction is reported for size and precision sweeps;
-    for condition sweeps it is not a reliable proxy and is left blank.
+    Returns one row per point with the columns in :data:`SWEEP_COLUMNS`;
+    ``None`` marks a cell that does not apply.  Enumeration has no hit
+    fraction, and the forward-error prediction, reported for size and
+    precision sweeps, is not a reliable proxy for condition sweeps.
     """
     if kind not in _SWEEP_DEFAULTS:
         raise ValueError(f"unknown sweep kind {kind!r}; use size, condition, or precision")
@@ -191,48 +192,44 @@ def run_sweep(
         lo, hi = solution_range(p1, p0)
         enc = from_range(lo, hi, int(point["bits"]), num_vars=n)
         qm = compile_linear_qubo(PolynomialSystem([p0, p1]), enc)
-        bits_won, energy, result = solve(
+        bits_won, energy, solver = solve(
             qm, backend, reads=reads, sweeps=sweeps, seed=seed + index, schedule=schedule
         )
         x = decode(enc, bits_won[: enc.num_bits])
-        row = {
+        rows.append({
             "param": value,
             "min_energy": float(energy),
             "rel_residual": relative_residual(p1, p0, x),
-            "hit_fraction": (
-                result.ground_fraction() if isinstance(result, SampleSet) else float("nan")
-            ),
+            "hit_fraction": solver.get("ground_fraction"),
             "forward_error_residual": (
-                forward_error_minimum(p1, p0, enc)[1] if kind != "condition" else float("nan")
+                forward_error_minimum(p1, p0, enc)[1] if kind != "condition" else None
             ),
-        }
-        rows.append(row)
+        })
     return rows
 
 
 def sweep_to_csv(rows: list[dict], path) -> None:
-    """Write sweep rows with the fixed column order; NaN cells are blank."""
+    """Write sweep rows with the fixed column order; ``None`` cells are blank."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            out = []
-            for col in SWEEP_COLUMNS:
-                v = row[col]
-                blank = v is None or (isinstance(v, float) and np.isnan(v))
-                out.append("" if blank else repr(v))
-            writer.writerow(out)
+            writer.writerow(["" if row[col] is None else repr(row[col]) for col in SWEEP_COLUMNS])
 
 
 @dataclass(frozen=True, eq=False)
 class IterationStep:
-    """One refinement iteration: window, winner, and its quality."""
+    """One refinement iteration: window, winner, and its quality.
+
+    ``hit_fraction`` is ``None`` for enumeration, and ``reads`` is then the
+    number of states enumerated.
+    """
 
     encoding: BitEncoding
     bits: np.ndarray
     x: np.ndarray
     rel_residual: float
-    hit_fraction: float
+    hit_fraction: float | None
     reads: int
     recentered: bool
 
@@ -258,7 +255,7 @@ class IterationTrace:
                 "bits": "".join(str(int(b)) for b in step.bits),
                 "x": step.x.tolist(),
                 "rel_residual": step.rel_residual,
-                "hit_fraction": None if np.isnan(step.hit_fraction) else step.hit_fraction,
+                "hit_fraction": step.hit_fraction,
                 "reads": step.reads,
                 "recentered": step.recentered,
             }
@@ -309,10 +306,9 @@ def iterate_solve(
     steps = []
     for iteration in range(num_iters):
         qm = compile_linear_qubo(system, enc)
-        bits_won, _, result = solve(
+        bits_won, _, solver = solve(
             qm, backend, reads=reads, sweeps=sweeps, seed=seed + iteration, schedule=schedule
         )
-        sampled = isinstance(result, SampleSet)  # enumeration has no hit fraction
         x = decode(enc, bits_won)
         on_boundary = bool(
             np.any(np.isclose(x, enc.lo, rtol=0, atol=1e-12))
@@ -324,8 +320,8 @@ def iterate_solve(
                 bits=bits_won,
                 x=x,
                 rel_residual=relative_residual(p1, p0, x),
-                hit_fraction=result.ground_fraction() if sampled else float("nan"),
-                reads=result.total_reads if sampled else 2**qm.num_bits,
+                hit_fraction=solver.get("ground_fraction"),
+                reads=solver.get("reads", 2**qm.num_bits),
                 recentered=on_boundary,
             )
         )

@@ -26,7 +26,7 @@ import numpy as np
 from .compiler import compile_linear_qubo
 from .encoding import BitEncoding, decode
 from .polysys import PolynomialSystem
-from .solvers import AnnealSchedule, SampleSet, solve
+from .solvers import AnnealSchedule, solve
 
 __all__ = [
     "RegressionDataset",
@@ -176,14 +176,15 @@ class FitResult:
     ``qubo_energy`` is the solver's objective at the winner (the squared
     normal-equation residual, offset carried); ``gls_rss`` is the weighted
     residual sum of squares of the fit itself, constant term included, so its
-    minimum over the grid is the true GLS residual.
+    minimum over the grid is the true GLS residual.  ``solver`` is the
+    solver block :func:`~polyqubo.solvers.solve` reports.
     """
 
     params: np.ndarray
     bits: np.ndarray
     qubo_energy: float
     gls_rss: float
-    samples: SampleSet | None = None
+    solver: dict
 
 
 def fit_qubo(
@@ -210,7 +211,7 @@ def fit_qubo(
             f"{basis.num_params} parameters"
         )
     qm = compile_linear_qubo(system, enc)
-    bits, energy, result = solve(
+    bits, energy, solver = solve(
         qm, backend, reads=reads, sweeps=sweeps, seed=seed, schedule=schedule
     )
     params = decode(enc, bits)
@@ -219,7 +220,7 @@ def fit_qubo(
         bits=bits,
         qubo_energy=float(energy),
         gls_rss=gls_objective(data, basis, params),
-        samples=result if isinstance(result, SampleSet) else None,
+        solver=solver,
     )
 
 

@@ -23,7 +23,8 @@ of squares.
 * :func:`conjugate_gradient` — classical iterative reference for symmetric
   positive-definite linear systems.
 
-:func:`solve` is the one place that picks ``"brute"`` or ``"anneal"`` by name.
+:func:`solve` is the one place that picks ``"brute"`` or ``"anneal"`` by name,
+and the one place that knows what each reports.
 """
 
 from __future__ import annotations
@@ -341,19 +342,28 @@ def solve(
     sweeps: int,
     seed: int,
     schedule: AnnealSchedule | None = None,
-) -> tuple[np.ndarray, float, BruteForceResult | SampleSet]:
+) -> tuple[np.ndarray, float, dict]:
     """Minimize a QUBO with the backend named ``"brute"`` or ``"anneal"``.
 
-    Returns the winning bits (uint8), their energy and the backend's own
-    result, a :class:`BruteForceResult` or :class:`SampleSet`.  The keyword
-    arguments go to :func:`simulated_anneal`; enumeration ignores them.
+    Returns the winning bits (uint8), their energy and the report's solver
+    block: ``{"backend": "brute", "num_ground"}`` for enumeration, or
+    ``{"backend": "anneal", "reads", "sweeps", "seed", "t_hot", "t_cold",
+    "ground_fraction"}`` with the ladder ``schedule`` resolves on ``qm``.
+    The keyword arguments go to :func:`simulated_anneal`; enumeration
+    ignores them.
     """
     if backend == "brute":
         result = brute_force(qm)
-        return result.bits, result.energy, result
+        return result.bits, result.energy, {"backend": "brute", "num_ground": result.num_ground}
     if backend == "anneal":
+        schedule = schedule or AnnealSchedule()
         samples = simulated_anneal(qm, reads=reads, sweeps=sweeps, seed=seed, schedule=schedule)
-        return np.array(samples.best.bits, dtype=np.uint8), samples.best.energy, samples
+        t_hot, t_cold = schedule.resolve(qm)
+        solver = {
+            "backend": "anneal", "reads": reads, "sweeps": sweeps, "seed": seed,
+            "t_hot": t_hot, "t_cold": t_cold, "ground_fraction": samples.ground_fraction(),
+        }
+        return np.array(samples.best.bits, dtype=np.uint8), samples.best.energy, solver
     raise ValueError(f"unknown backend {backend!r}; use 'brute' or 'anneal'")
 
 

@@ -129,6 +129,17 @@ class TestRegress:
         assert report["parameters"] == [8.0, 4.0, 7.0]
         assert report["bits"] == "000100101110"
 
+    @pytest.mark.parametrize("backend", ["brute", "anneal", "cg"])
+    def test_every_backend_writes_parameters_and_gls_rss(self, tmp_path, backend):
+        out = tmp_path / "report.json"
+        anneal = ["--reads", "300", "--sweeps", "100"] if backend == "anneal" else []
+        assert run(["regress", "--noiseless", "--bits", "4", "--lo", "0", "--hi", "15",
+                    "--backend", backend, *anneal, "--output", out]) == 0
+        report = json.loads(out.read_text())
+        np.testing.assert_allclose(report["parameters"], [8.0, 4.0, 7.0], atol=1e-6)
+        assert report["gls_rss"] == pytest.approx(0.0, abs=1e-9)
+        assert "solution" not in report
+
     def test_csv_data_round_trip(self, tmp_path):
         out = tmp_path / "report.json"
         dump = tmp_path / "data.csv"
@@ -295,6 +306,43 @@ class TestSolverFlags:
             del report["config"]
         assert reports[0] != reports[1]
 
+    @pytest.mark.parametrize("argv, backends", [
+        (["solve-poly", LINEAR], ["brute", "cg"]),
+        (["solve-linear", LINEAR], ["brute", "cg"]),
+        (["regress", "--noiseless"], ["brute", "cg"]),
+        (["sweep", "--kind", "size", "--sizes", "2"], ["brute"]),
+        (["iterate"], ["brute"]),
+    ], ids=["solve-poly", "solve-linear", "regress", "sweep", "iterate"])
+    def test_anneal_flags_refused_off_anneal(self, tmp_path, capsys, argv, backends):
+        out = tmp_path / "report.json"
+        argv = linear_argv(argv, tmp_path) + ["--output", out]
+        for backend in backends:
+            for flag, value in [("--reads", "10"), ("--sweeps", "5"), ("--t-hot", "2"),
+                                ("--t-cold", "0.1")]:
+                assert run(argv + ["--backend", backend, flag, value]) == 1
+                err = capsys.readouterr().err
+                assert flag in err and "--backend anneal" in err
+                assert not out.exists()
+            # unflagged, the brute and cg configs leave the anneal budget out
+            assert run(argv + ["--backend", backend]) == 0
+            config = json.loads(out.read_text())["config"]
+            assert "reads" not in config and "sweeps" not in config
+            out.unlink()
+
+    @pytest.mark.parametrize("backend", ["brute", "anneal"])
+    def test_solver_block_same_for_every_frontend(self, tmp_path, backend):
+        anneal = ["--reads", "50", "--sweeps", "20"] if backend == "anneal" else []
+        blocks = []
+        for argv in (["solve-linear", LINEAR, "--bits", "2"],
+                     ["regress", "--noiseless", "--basis", "poly:1", "--bits", "3",
+                      "--lo", "0", "--hi", "70"]):
+            out = tmp_path / "report.json"
+            argv = linear_argv(argv, tmp_path) + ["--backend", backend, *anneal]
+            assert run(argv + ["--output", out]) == 0
+            blocks.append(json.loads(out.read_text())["solver"])
+        assert blocks[0].keys() == blocks[1].keys()
+        assert blocks[0]["backend"] == backend
+
     @pytest.mark.parametrize("argv", [
         ["solve-linear", LINEAR],
         ["regress", "--noiseless"],
@@ -393,7 +441,7 @@ class TestCgPaths:
         assert run(["regress", "--noiseless", "--backend", "cg", "--output", out]) == 0
         report = json.loads(out.read_text())
         assert report["solver"]["backend"] == "cg"
-        np.testing.assert_allclose(report["solution"], [8.0, 4.0, 7.0], atol=1e-6)
+        np.testing.assert_allclose(report["parameters"], [8.0, 4.0, 7.0], atol=1e-6)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--kind", "condition", "--kappas", "1.1"],

@@ -137,8 +137,8 @@ class TestFitQubo:
             noiseless, quad_basis, enc, backend="anneal", reads=4000, sweeps=300, seed=1
         )
         np.testing.assert_array_equal(fit.params, brute_fit.params)
-        assert fit.samples is not None
-        assert fit.samples.total_reads == 4000
+        assert fit.solver["backend"] == "anneal"
+        assert fit.solver["reads"] == 4000
 
     def test_constant_fit(self):
         data = RegressionDataset(np.arange(6.0), np.full(6, 5.0), np.eye(6))

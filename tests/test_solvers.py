@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from conftest import dense_pubo, planted_pubo, random_encoding, random_system
 from polyqubo import (
     AnnealSchedule,
-    BruteForceResult,
     PolynomialSystem,
     QuboMatrix,
     SampleRecord,
@@ -484,24 +483,30 @@ class TestSimulatedAnneal:
 
 class TestSolve:
     def test_brute_returns_enumeration_result(self, quad_qubo):
-        bits, energy, result = solve(quad_qubo, "brute", reads=1, sweeps=1, seed=0)
-        assert isinstance(result, BruteForceResult)
+        bits, energy, solver = solve(quad_qubo, "brute", reads=1, sweeps=1, seed=0)
+        exact = brute_force(quad_qubo)
+        assert solver == {"backend": "brute", "num_ground": exact.num_ground}
         assert bits.dtype == np.uint8
-        np.testing.assert_array_equal(bits, brute_force(quad_qubo).bits)
-        assert energy == result.energy
+        np.testing.assert_array_equal(bits, exact.bits)
+        assert energy == exact.energy
 
     def test_anneal_passes_schedule_through(self, quad_qubo):
-        cold = AnnealSchedule(t_hot=1e-9, t_cold=1e-12)
-        bits, energy, samples = solve(
-            quad_qubo, "anneal", reads=50, sweeps=20, seed=4, schedule=cold
-        )
-        direct = simulated_anneal(quad_qubo, reads=50, sweeps=20, seed=4, schedule=cold)
-        assert samples.to_json() == direct.to_json()
-        default = simulated_anneal(quad_qubo, reads=50, sweeps=20, seed=4)
-        assert samples.to_json() != default.to_json()
-        assert bits.dtype == np.uint8
-        assert tuple(bits) == direct.best.bits
-        assert energy == direct.best.energy
+        for schedule in (AnnealSchedule(t_hot=1e-9, t_cold=1e-12), None):
+            with mock.patch.object(solvers, "simulated_anneal", wraps=simulated_anneal) as spy:
+                bits, energy, solver = solve(
+                    quad_qubo, "anneal", reads=50, sweeps=20, seed=4, schedule=schedule
+                )
+            ladder = schedule or AnnealSchedule()
+            assert spy.call_args.kwargs["schedule"] == ladder
+            direct = simulated_anneal(quad_qubo, reads=50, sweeps=20, seed=4, schedule=ladder)
+            t_hot, t_cold = ladder.resolve(quad_qubo)
+            assert solver == {
+                "backend": "anneal", "reads": 50, "sweeps": 20, "seed": 4,
+                "t_hot": t_hot, "t_cold": t_cold, "ground_fraction": direct.ground_fraction(),
+            }
+            assert bits.dtype == np.uint8
+            assert tuple(bits) == direct.best.bits
+            assert energy == direct.best.energy
 
     def test_backends_agree_on_energy_when_bits_agree(self):
         # both report a winner's energy evaluated alone (seed 9 differed)
