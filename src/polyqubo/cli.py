@@ -42,7 +42,7 @@ from .regression import (
     polynomial_basis,
     save_dataset_csv,
 )
-from .solvers import AnnealSchedule, conjugate_gradient, solve
+from .solvers import AnnealSchedule, check_enumerable, conjugate_gradient, solve
 
 
 class ConfigError(Exception):
@@ -202,6 +202,8 @@ def _cmd_solve(args) -> dict:
             raise ConfigError("backend=cg only valid for degree-1 systems")
         x, report["solver"] = _cg(system)
     else:
+        if args.backend == "brute":  # refuse before compiling; solve checks the auxiliaries
+            check_enumerable(enc.num_bits)
         pubo = compile_pubo(system, enc)
         # only solve-poly has --penalty and --aux
         qm = quadratize(

@@ -19,7 +19,12 @@ of squares.
   consecutive, mutually uncoupled bits at once: flipping one bit of a run
   leaves the others' fields unchanged, so the samples are exactly those of
   one step per bit, with far fewer numpy calls on quadratized objectives,
-  whose auxiliaries rarely couple to their neighbours.
+  whose auxiliaries rarely couple to their neighbours.  A read chunk stops
+  after the first sweep in which every acceptance probability was 0.0, if
+  no later sweep runs hotter: nothing flipped, so the next sweep sees the
+  same fields and the same Δ > 0, and a temperature no higher keeps each
+  probability at 0.0.  No later sweep could flip a bit, so the samples are
+  those of the full ladder.
 * :func:`conjugate_gradient` — classical iterative reference for symmetric
   positive-definite linear systems.
 
@@ -271,13 +276,24 @@ def simulated_anneal(
     """Sample a QUBO with independent single-flip Metropolis trajectories.
 
     Read r draws its randomness from ``default_rng(seed + r)`` — first the
-    initial state, then one uniform per flip proposal in sweep-major, bit-
-    ascending order — so results are bit-reproducible and independent of
-    how the reads are batched.  Reads are annealed in chunks of
-    ``_READ_CHUNK``, and the uniforms are drawn in blocks of sweeps holding
-    at most ``_UNIFORM_FLOATS`` per chunk, which leaves the stream unchanged.
-    Each read contributes its final state; one :func:`qubo_energy` call
-    scores the distinct states, each with the energy it has alone.
+    initial state, then one uniform per flip proposal, in sweep-major, bit-
+    ascending order, for every sweep that runs — so results are bit-
+    reproducible and independent of how the reads are batched.  Reads are
+    annealed in chunks of ``_READ_CHUNK``, and the uniforms are drawn in
+    blocks of sweeps holding at most ``_UNIFORM_FLOATS`` per chunk, which
+    leaves the stream unchanged.  Each read contributes its final state; one
+    :func:`qubo_energy` call scores the distinct states, each with the
+    energy it has alone.
+
+    A chunk stops after sweep s if every step of s gave every read an
+    acceptance probability ``p = exp(min(-Δ/t, 0))`` of exactly 0.0 and no
+    later temperature exceeds ``t``.  This is exact: a uniform in [0, 1) is
+    never below 0.0, so s flipped nothing; the next sweep's fields then come
+    from the same gemvs over the same states and have the same bits, as has
+    each Δ, which is > 0; and for ``t' <= t``, ``-Δ/t' <= -Δ/t`` stays below
+    the underflow of ``exp``, so p stays 0.0.  By induction no later sweep
+    flips a bit, and the uniforms it would read are never used.  A NaN
+    probability counts as nonzero, so it never stops a chunk.
 
     The bits split once into maximal runs of consecutive bits with zero
     coupling among them, and each sweep makes one vectorised Metropolis step
@@ -300,6 +316,9 @@ def simulated_anneal(
     # a lone bit indexes as an int: 1-d steps cost less than (reads, 1) ones
     runs = [a if b == a + 1 else slice(a, b) for a, b in _uncoupled_runs(coupling)]
 
+    # coolest[s]: no later sweep runs hotter, so a frozen sweep s ends the chunk
+    coolest = temps >= np.append(np.maximum.accumulate(temps[::-1])[-2::-1], -np.inf)
+
     tally: Counter[bytes] = Counter()  # packed final states, in first-seen order
     for start in range(0, reads, _READ_CHUNK):
         size = min(_READ_CHUNK, reads - start)
@@ -315,12 +334,20 @@ def simulated_anneal(
                 uniforms[r, :span] = rng.random((span, n))
             for s in range(span):
                 t = temps[first + s]
+                live = False  # some step of this sweep had a nonzero (or NaN) probability
                 for run in runs:
                     fields = _run_fields(states, columns, run)
                     col = states[:, run]
                     delta = (1.0 - 2.0 * col) * (diag[run] + fields)
-                    accept = uniforms[:, s, run] < np.exp(np.minimum(-delta / t, 0.0))
+                    prob = np.exp(np.minimum(-delta / t, 0.0))
+                    live = live or prob.any()
+                    accept = uniforms[:, s, run] < prob
                     states[:, run] = np.where(accept, 1.0 - col, col)
+                frozen = not live and coolest[first + s]
+                if frozen:
+                    break
+            if frozen:
+                break
         tally.update(key.tobytes() for key in np.packbits(states.astype(np.uint8), axis=1))
 
     packed = np.frombuffer(b"".join(tally), np.uint8).reshape(len(tally), -1)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR, REPO_ROOT
+from conftest import FIXTURE_DIR, GOLDEN_DIR, REPO_ROOT
 from polyqubo import CgReport, chi_squared, load_system, save_system, PolynomialSystem
 from polyqubo import cli
 from polyqubo.cli import main
@@ -61,6 +61,20 @@ class TestSolvePoly:
         assert run(args + ["--output", a]) == 0
         assert run(args + ["--output", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_anneal_report_matches_golden(self, tmp_path):
+        # integer coefficients, so the fields do not depend on summation order
+        # or BLAS; the annealer stops this run before its last sweep
+        out = tmp_path / "report.json"
+        assert run(["solve-poly", QUAD_FIXTURE, "--lo", "0", "--hi", "3", "--bits", "2",
+                    "--backend", "anneal", "--reads", "200", "--sweeps", "100",
+                    "--seed", "3", "--output", out]) == 0
+        report = json.loads(out.read_text())
+        golden = json.loads((GOLDEN_DIR / "quadratic_2x2_anneal_report.json").read_text())
+        del report["config"]["input"], golden["config"]["input"]
+        assert report.keys() == golden.keys()
+        for key in golden:
+            assert report[key] == golden[key], key
 
     def test_problem_summary_fields(self, tmp_path):
         out = tmp_path / "report.json"
@@ -288,6 +302,19 @@ class TestSolverFlags:
         err = capsys.readouterr().err
         assert "24" in err and str(num_bits) in err
         assert not out.exists()
+
+    def test_oversized_brute_request_refused_before_compiling(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "compile_pubo", lambda *a, **k: calls.append(a))
+        out = tmp_path / "report.json"
+        assert run(["solve-poly", QUAD_FIXTURE, "--lo", "0", "--hi", "3", "--bits", "30",
+                    "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert "24" in err and "60" in err
+        assert not out.exists()
+        assert not calls
 
     @pytest.mark.parametrize("argv", [
         ["regress", "--noiseless", "--basis", "poly:2", "--bits", "4", "--lo", "0",

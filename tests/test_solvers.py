@@ -409,6 +409,41 @@ class TestSimulatedAnneal:
         args = dict(reads=16, sweeps=20, seed=3)
         assert simulated_anneal(qm, **args).to_json() == reference_anneal(qm, **args).to_json()
 
+    @staticmethod
+    def count_steps(qm, **args):
+        """simulated_anneal's result and its number of Metropolis steps."""
+        with mock.patch.object(solvers, "_run_fields", wraps=solvers._run_fields) as steps:
+            samples = simulated_anneal(qm, **args)
+        return samples, steps.call_count
+
+    @staticmethod
+    def num_runs(qm):
+        return len(solvers._uncoupled_runs(qm.matrix + qm.matrix.T))
+
+    def test_stops_after_a_frozen_sweep(self, poly_qubos):
+        qm = poly_qubos[0]
+        args = dict(reads=16, sweeps=60, seed=3)
+        samples, steps = self.count_steps(qm, **args)
+        assert samples.to_json() == reference_anneal(qm, **args).to_json()
+        assert steps < 60 * self.num_runs(qm)
+
+    def test_ladder_that_warms_again_keeps_annealing(self, monkeypatch):
+        # the cold sweeps freeze every read at 0; each hot one flips every bit
+        qm = QuboMatrix(np.diag([1.0, 2.0, 3.0, 4.0]), 0.0, 4)
+        ladder = np.array([1e-30] * 3 + [1e9] * 3)
+        monkeypatch.setattr(AnnealSchedule, "temperatures", lambda self, qm, sweeps: ladder)
+        args = dict(reads=16, sweeps=6, seed=2)
+        samples, steps = self.count_steps(qm, **args)
+        assert samples.to_json() == reference_anneal(qm, **args).to_json()
+        assert steps == 6 * self.num_runs(qm)
+        assert samples.records[0].bits == (1, 1, 1, 1)
+
+    def test_zero_qubo_runs_every_step(self):
+        # every probability is exp(0) = 1, so no sweep is frozen
+        qm = QuboMatrix(np.zeros((5, 5)), 0.0, 5)
+        _, steps = self.count_steps(qm, reads=8, sweeps=30, seed=1)
+        assert steps == 30 * self.num_runs(qm)
+
     def test_uniform_blocks_keep_the_stream(self, quad_qubo, monkeypatch):
         # blocks of one sweep draw the same uniforms as one block of all sweeps
         whole = simulated_anneal(quad_qubo, reads=20, sweeps=15, seed=1)
