@@ -28,8 +28,10 @@ result = pq.brute_force(pubo)
 x = pq.decode(enc, result.bits)
 print(f"ground state bits {result.bits} -> x = {x}, energy = {result.energy}")
 
-# the objective energy IS the residual sum of squares at the decoded point
-states = pq.all_bitstrings(enc.num_bits)
+# the objective energy IS the residual sum of squares at the decoded point;
+# row s of the state table has bit i = (s >> i) & 1
+codes = np.arange(2**enc.num_bits)
+states = ((codes[:, None] >> np.arange(enc.num_bits)) & 1).astype(np.uint8)
 gap = np.max(np.abs(pq.pubo_energy(pubo, states)
                     - pq.chi_squared(system, pq.decode(enc, states))))
 print("max |objective - residual sum of squares| over all 16 states:", gap)

@@ -73,33 +73,70 @@ def _parse_vec(text: str, num_vars: int, flag: str) -> np.ndarray:
     return np.array(parts)
 
 
+_ENCODING = ("lo", "hi", "bits")
+_ANNEAL = ("seed", "reads", "sweeps", "t_hot", "t_cold")
+_QUADRATIZE = ("aux", "penalty")
+
+# The solver and encoding flags each backend of each command reads.  The parser
+# offers these backends and flags; main refuses a flag given that the backend does
+# not read, and defaults a read one left unset from _DEFAULTS (None: derive it).
+_READS = {
+    "solve-poly": {"brute": _ENCODING + _QUADRATIZE, "anneal": _ENCODING + _QUADRATIZE + _ANNEAL,
+                   "cg": ()},
+    "solve-linear": {"brute": _ENCODING, "anneal": _ENCODING + _ANNEAL, "cg": ()},
+    "regress": {"brute": _ENCODING, "anneal": _ENCODING + _ANNEAL, "cg": ()},
+    "sweep": {"brute": ("seed",), "anneal": _ANNEAL},
+    "iterate": {"brute": _ENCODING, "anneal": _ENCODING + _ANNEAL},
+}
+_DEFAULTS = {"lo": "-1", "hi": "1", "bits": 2, "seed": 0, "reads": 1000, "sweeps": 500,
+             "aux": "lazy", "x_points": 50, "corr_base": 0.9}
+
+# sweep: each kind's value list and the fixed parameter it sweeps
+_SWEPT = {"size": ("sizes", "n"), "condition": ("kappas", "kappa"),
+          "precision": ("bits_list", "bits")}
+# regress: the dataset flags each data source reads
+_SOURCES = {"--data": ("cov",), "--noiseless": ("x_points", "corr_base"),
+            "without --data": ("x_points", "corr_base", "noise_seed")}
+
+
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _read_or_refuse(args) -> None:
+    """Refuse each flag given that this run does not read; default each unset one it does.
+
+    Each choice a run makes (its backend; sweep's kind; regress's data source)
+    decides a set of flags and reads some of them.
+    """
+    tables = _READS[args.command]
+    choices = [(f"--backend {args.backend}", set().union(*tables.values()), tables[args.backend])]
+    if args.command == "sweep":  # run_sweep defaults the fixed parameters a kind reads
+        values, swept = _SWEPT[args.kind]
+        lists = {v for v, _ in _SWEPT.values()}
+        choices.append((f"--kind {args.kind}", lists | {swept}, (values,)))
+    elif args.command == "regress":
+        source = "--data" if args.data else "--noiseless" if args.noiseless else "without --data"
+        choices.append((source, set().union(*_SOURCES.values()), _SOURCES[source]))
+    for choice, decided, read in choices:
+        for flag in sorted(decided.difference(read)):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"{_option(flag)} is not read by {args.command} {choice}")
+        for flag in read:
+            if getattr(args, flag) is None:
+                setattr(args, flag, _DEFAULTS.get(flag))
+
+
 def _solver_args(args) -> dict:
-    """The keyword arguments every command passes on to :func:`solve`."""
-    return {
-        "reads": args.reads,
-        "sweeps": args.sweeps,
-        "seed": args.seed,
-        "schedule": AnnealSchedule(t_hot=args.t_hot, t_cold=args.t_cold),
-    }
-
-
-def _anneal_flags(args) -> None:
-    """Default the anneal-only flags under ``--backend anneal``; refuse them under any other."""
-    for name, default in (("reads", 1000), ("sweeps", 500), ("t_hot", None), ("t_cold", None)):
-        if args.backend == "anneal" and getattr(args, name) is None:
-            setattr(args, name, default)
-        elif args.backend != "anneal" and getattr(args, name) is not None:
-            raise ConfigError(
-                f"--{name.replace('_', '-')} applies only to --backend anneal, "
-                f"not --backend {args.backend}"
-            )
+    """The keyword arguments a command passes on to :func:`solve`; a flag its
+    backend does not read is None, and leaves solve's default in place."""
+    flags = {k: getattr(args, k) for k in ("reads", "sweeps", "seed")}
+    schedule = AnnealSchedule(t_hot=args.t_hot, t_cold=args.t_cold)
+    return {**{k: v for k, v in flags.items() if v is not None}, "schedule": schedule}
 
 
 def _out_path(args, default_name: str) -> str:
-    if args.output:
-        return args.output
-    out_dir = os.environ.get("POLYQUBO_OUTDIR", ".")
-    return os.path.join(out_dir, default_name)
+    return args.output or os.path.join(os.environ.get("POLYQUBO_OUTDIR", "."), default_name)
 
 
 def _write_report(report: dict, path: str, fmt: str) -> None:
@@ -129,18 +166,28 @@ def _flatten(doc, prefix=""):
             yield name, value
 
 
-def _add_common(p, backends=("brute", "anneal", "cg"), *, encoding=True):
-    if encoding:
-        p.add_argument("--lo", default="-1", help="range lower bound (scalar or comma list)")
-        p.add_argument("--hi", default="1", help="range upper bound (scalar or comma list)")
-        p.add_argument("--bits", type=int, default=2, help="bits per variable")
-    p.add_argument("--backend", choices=backends, default="brute")
-    p.add_argument("--seed", type=int, default=0)
-    anneal = p.add_argument_group("anneal only", "refused with any other backend")
-    anneal.add_argument("--reads", type=int, help="independent reads (default 1000)")
-    anneal.add_argument("--sweeps", type=int, help="sweeps per read (default 500)")
-    anneal.add_argument("--t-hot", type=float, help="override hot temperature")
-    anneal.add_argument("--t-cold", type=float, help="override cold temperature")
+def _add_common(p, command):
+    backends = _READS[command]
+    declared = set().union(*backends.values())
+    p.add_argument("--backend", choices=list(backends), default="brute")
+    group = p.add_argument_group("solver and encoding", "given to another backend, exits 1")
+    for flag, kwargs in (
+        ("lo", {"help": "range lower bound, scalar or comma list"}),
+        ("hi", {"help": "range upper bound, scalar or comma list"}),
+        ("bits", {"type": int, "help": "bits per variable"}),
+        ("aux", {"choices": ["lazy", "all"], "help": "auxiliary pairs to allocate"}),
+        ("penalty", {"type": float, "help": "override penalty weight C"}),
+        ("seed", {"type": int, "help": "random seed"}),
+        ("reads", {"type": int, "help": "independent reads"}),
+        ("sweeps", {"type": int, "help": "sweeps per read"}),
+        ("t_hot", {"type": float, "help": "override hot temperature"}),
+        ("t_cold", {"type": float, "help": "override cold temperature"}),
+    ):
+        if flag in declared:
+            default = f"default {_DEFAULTS[flag]}, " if flag in _DEFAULTS else ""
+            readers = "/".join(b for b, flags in backends.items() if flag in flags)
+            kwargs["help"] += f" ({default}read by --backend {readers})"
+            group.add_argument(_option(flag), **kwargs)
     p.add_argument("--output", default=None, help="report path (default: per-command name)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -152,63 +199,62 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve-poly", help="solve a polynomial system from a JSON file")
     p.add_argument("input", help="system JSON file")
-    p.add_argument("--aux", choices=["lazy", "all"], default="lazy")
-    p.add_argument("--penalty", type=float, default=None, help="override penalty weight C")
-    _add_common(p)
+    _add_common(p, "solve-poly")
 
     p = sub.add_parser("solve-linear", help="solve a degree-1 system from a JSON file")
     p.add_argument("input", help="system JSON file")
-    _add_common(p)
+    _add_common(p, "solve-linear")
 
     p = sub.add_parser("regress", help="generalized least squares via the QUBO pipeline")
     p.add_argument("--data", default=None, help="CSV with x,y columns (default: synthetic)")
-    p.add_argument("--cov", default=None, help="covariance matrix CSV for --data")
+    p.add_argument("--cov", default=None, help="covariance matrix CSV (with --data only)")
     p.add_argument("--noiseless", action="store_true", help="synthetic data without noise")
-    p.add_argument("--noise-seed", type=int, default=None, help="seeded synthetic noise draw")
-    p.add_argument("--x-points", type=int, default=50)
-    p.add_argument("--corr-base", type=float, default=0.9)
+    p.add_argument("--noise-seed", type=int, default=None,
+                   help="seeded synthetic noise draw (not with --data or --noiseless)")
+    p.add_argument("--x-points", type=int, help=f"data points (default {_DEFAULTS['x_points']})")
+    p.add_argument("--corr-base", type=float,
+                   help=f"correlation base (default {_DEFAULTS['corr_base']})")
     p.add_argument("--basis", default="poly:2", help="basis spec, e.g. poly:2")
     p.add_argument("--dump-data", default=None, help="also write the dataset as CSV")
-    _add_common(p)
+    _add_common(p, "regress")
 
     p = sub.add_parser("sweep", help="scaling sweep over size, condition number, or precision")
-    p.add_argument("--kind", choices=["size", "condition", "precision"], required=True)
+    p.add_argument("--kind", choices=list(_SWEPT), required=True)
     p.add_argument("--sizes", default=None, help="comma list of sizes (kind=size)")
-    p.add_argument("--kappas", default=None, help="comma list of condition numbers")
+    p.add_argument("--kappas", default=None, help="comma list of kappas (kind=condition)")
     p.add_argument("--bits-list", default=None, help="comma list of bit counts (kind=precision)")
-    p.add_argument("--n", type=int, default=None, help="fixed system size")
-    p.add_argument("--kappa", type=float, default=None, help="fixed condition number")
-    _add_common(p, ("brute", "anneal"), encoding=False)
-    p.add_argument("--bits", type=int, default=None, help="fixed bits per variable")
+    p.add_argument("--n", type=int, default=None, help="fixed system size (not kind=size)")
+    p.add_argument("--kappa", type=float, default=None,
+                   help="fixed condition number (not kind=condition)")
+    p.add_argument("--bits", type=int, default=None,
+                   help="fixed bits per variable (not kind=precision)")
+    _add_common(p, "sweep")
 
     p = sub.add_parser("iterate", help="iterative shrinking-window refinement")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--kappa", type=float, default=1.1)
     p.add_argument("--iters", type=int, default=9)
     p.add_argument("--instance-seed", type=int, default=0, help="matrix generation seed")
-    _add_common(p, ("brute", "anneal"))
+    _add_common(p, "iterate")
     return parser
 
 
 def _cmd_solve(args) -> dict:
     system = _load_input(args.input)
     linear = args.command == "solve-linear"
-    if linear and system.degree != 1:
-        raise ConfigError(f"solve-linear requires a degree-1 system, got degree {system.degree}")
-    enc = _encoding_for(args, system.num_variables)
+    if (linear or args.backend == "cg") and system.degree != 1:
+        raise ConfigError(f"{args.command} --backend {args.backend} needs a degree-1 system, "
+                          f"got degree {system.degree}")
     report = {"config": _echo_config(args)}
     if args.backend == "cg":
-        if system.degree != 1:
-            raise ConfigError("backend=cg only valid for degree-1 systems")
         x, report["solver"] = _cg(system)
     else:
+        enc = _encoding_for(args, system.num_variables)
         if args.backend == "brute":  # refuse before compiling; solve checks the auxiliaries
             check_enumerable(enc.num_bits)
         pubo = compile_pubo(system, enc)
-        # only solve-poly has --penalty and --aux
-        qm = quadratize(
-            pubo, penalty=getattr(args, "penalty", None), aux=getattr(args, "aux", "lazy")
-        )
+        quad = {k: v for k, v in vars(args).items() if k in _QUADRATIZE}  # none in solve-linear
+        qm = quadratize(pubo, **quad)
         bits, energy, report["solver"] = solve(qm, args.backend, **_solver_args(args))
         x = decode(enc, bits[: enc.num_bits])
         report["problem"] = {"bits": qm.num_logical, "auxiliaries": qm.num_aux,
@@ -239,20 +285,19 @@ def _cmd_regress(args) -> dict:
     if args.data:
         data = _load_input(args.data, loader=lambda p: load_dataset_csv(p, args.cov))
     else:
-        noise = None if args.noiseless or args.noise_seed is None else args.noise_seed
-        data = generate_dataset(args.x_points, args.corr_base, noise_seed=noise)
+        data = generate_dataset(args.x_points, args.corr_base, noise_seed=args.noise_seed)
     if args.dump_data:
         save_dataset_csv(data, args.dump_data)
     if not args.basis.startswith("poly:"):
         raise ConfigError(f"unsupported basis {args.basis!r}; expected poly:<degree>")
     degree = int(args.basis.split(":", 1)[1])
     basis = polynomial_basis(data.x_grid, degree)
-    enc = _encoding_for(args, basis.num_params)
     report = {"config": _echo_config(args)}
     if args.backend == "cg":
         params, report["solver"] = _cg(normal_equations(data, basis))
         gls_rss = gls_objective(data, basis, params)
     else:
+        enc = _encoding_for(args, basis.num_params)
         fit = fit_qubo(data, basis, enc, backend=args.backend, **_solver_args(args))
         params, gls_rss, report["solver"] = fit.params, fit.gls_rss, fit.solver
         report["problem"] = {"bits": enc.num_bits, "auxiliaries": 0, "penalty": 0.0}
@@ -264,25 +309,17 @@ def _cmd_regress(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict | list:
-    values_flag = {"size": args.sizes, "condition": args.kappas, "precision": args.bits_list}
-    text = values_flag[args.kind]
+    values_flag = _SWEPT[args.kind][0]
+    text = getattr(args, values_flag)
     if text is None:
-        raise ConfigError(f"sweep kind {args.kind!r} needs its value list "
-                          f"(--sizes / --kappas / --bits-list)")
+        raise ConfigError(f"sweep --kind {args.kind} needs {_option(values_flag)}")
     caster = int if args.kind in ("size", "precision") else float
     try:
         values = [caster(v) for v in text.split(",")]
     except ValueError as err:
         raise ConfigError(f"bad sweep value list {text!r}") from err
-    rows = run_sweep(
-        args.kind,
-        values,
-        size=args.n,
-        kappa=args.kappa,
-        bits=args.bits,
-        backend=args.backend,
-        **_solver_args(args),
-    )
+    rows = run_sweep(args.kind, values, size=args.n, kappa=args.kappa, bits=args.bits,
+                     backend=args.backend, **_solver_args(args))
     return {"config": _echo_config(args), "columns": list(SWEEP_COLUMNS), "rows": rows}
 
 
@@ -292,19 +329,11 @@ def _cmd_iterate(args) -> dict:
     p0 = make_rhs(args.n)
     lo = _parse_vec(args.lo, args.n, "--lo")
     hi = _parse_vec(args.hi, args.n, "--hi")
-    trace = iterate_solve(
-        p1,
-        p0,
-        args.bits,
-        args.iters,
-        backend=args.backend,
-        initial_lo=lo,
-        initial_hi=hi,
-        **_solver_args(args),
-    )
+    trace = iterate_solve(p1, p0, args.bits, args.iters, backend=args.backend,
+                          initial_lo=lo, initial_hi=hi, **_solver_args(args))
     return {
         "config": _echo_config(args),
-        "iterations": json.loads(trace.to_json()),
+        "iterations": trace.to_dicts(),
         "final_residual": trace.final.rel_residual,
         "final_solution": trace.final.x.tolist(),
     }
@@ -349,7 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _anneal_flags(args)
+        _read_or_refuse(args)
         handler, default_stem = _COMMANDS[args.command]
         started = time.perf_counter()
         report = handler(args)

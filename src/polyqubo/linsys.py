@@ -22,7 +22,6 @@ per iteration.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,8 +245,9 @@ class IterationTrace:
     def final(self) -> IterationStep:
         return self.steps[-1]
 
-    def to_json(self) -> str:
-        doc = [
+    def to_dicts(self) -> list[dict]:
+        """One dict per iteration, as the ``iterate`` report embeds them."""
+        return [
             {
                 "iteration": k,
                 "lo": step.encoding.lo.tolist(),
@@ -261,7 +261,6 @@ class IterationTrace:
             }
             for k, step in enumerate(self.steps)
         ]
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 _RESIDUAL_FLOOR = 1e-14  # iterate_solve stops once the relative residual is below this

@@ -34,7 +34,6 @@ and the one place that knows what each reports.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -54,7 +53,6 @@ __all__ = [
     "SampleRecord",
     "AnnealSchedule",
     "CgReport",
-    "all_bitstrings",
     "check_enumerable",
     "brute_force",
     "simulated_anneal",
@@ -65,17 +63,6 @@ __all__ = [
 _ENUMERATION_LIMIT = 24  # brute_force enumerates objectives of at most this many bits
 _READ_CHUNK = 512  # reads annealed together as one batch of states
 _UNIFORM_FLOATS = 1 << 20  # uniforms held per read chunk, drawn in blocks of sweeps
-
-
-def all_bitstrings(num_bits: int) -> np.ndarray:
-    """All bitstrings as a (2^L, L) uint8 matrix; row s has bit i = (s >> i) & 1.
-
-    The 20-bit cap bounds the table's memory; it is not the enumeration limit.
-    """
-    if num_bits < 0 or num_bits > 20:
-        raise ValueError(f"refusing to materialize 2^{num_bits} bitstrings at once")
-    ints = np.arange(1 << num_bits, dtype=np.int64)
-    return ((ints[:, None] >> np.arange(num_bits)) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,26 +174,6 @@ class SampleSet:
         lowest = self.records[0].energy
         hits = sum(r.count for r in self.records if r.energy == lowest)
         return hits / self.total_reads
-
-    def to_json(self) -> str:
-        doc = {
-            "total_reads": self.total_reads,
-            "rng_seed": self.rng_seed,
-            "records": [
-                {"bits": "".join(map(str, r.bits)), "energy": r.energy, "count": r.count}
-                for r in self.records
-            ],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SampleSet":
-        doc = json.loads(text)
-        records = tuple(
-            SampleRecord(tuple(int(ch) for ch in r["bits"]), r["energy"], r["count"])
-            for r in doc["records"]
-        )
-        return cls(records, doc["total_reads"], doc["rng_seed"])
 
 
 @dataclass(frozen=True)
@@ -365,9 +332,9 @@ def solve(
     qm: QuboMatrix,
     backend: str,
     *,
-    reads: int,
-    sweeps: int,
-    seed: int,
+    reads: int = 1000,
+    sweeps: int = 500,
+    seed: int = 0,
     schedule: AnnealSchedule | None = None,
 ) -> tuple[np.ndarray, float, dict]:
     """Minimize a QUBO with the backend named ``"brute"`` or ``"anneal"``.

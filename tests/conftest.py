@@ -33,6 +33,17 @@ def quad_encoding():
     return from_range([0.0, 0.0], [3.0, 3.0], 2)
 
 
+def all_bitstrings(num_bits: int) -> np.ndarray:
+    """All bitstrings as a (2^L, L) uint8 matrix; row s has bit i = (s >> i) & 1."""
+    ints = np.arange(1 << num_bits, dtype=np.int64)
+    return ((ints[:, None] >> np.arange(num_bits)) & 1).astype(np.uint8)
+
+
+def sample_key(samples):
+    """A SampleSet's content as one comparable value: records, reads and seed."""
+    return samples.records, samples.total_reads, samples.rng_seed
+
+
 def random_system(rng, num_eq, num_vars, degree, scale=1.0) -> PolynomialSystem:
     coeffs = [
         rng.uniform(-scale, scale, size=(num_eq,) + (num_vars,) * order)

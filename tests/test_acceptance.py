@@ -9,11 +9,10 @@ import math
 
 import numpy as np
 
-from conftest import FIXTURE_DIR, random_encoding, random_system
+from conftest import FIXTURE_DIR, all_bitstrings, random_encoding, random_system, sample_key
 from polyqubo import (
     ConditionedSpec,
     PolynomialSystem,
-    all_bitstrings,
     brute_force,
     chi_squared,
     choose_penalty,
@@ -236,8 +235,8 @@ def test_criterion_10_determinism(tmp_path):
     system = load_system(FIXTURE_DIR / "quadratic_2x2.json")
     enc = from_range([0.0, 0.0], [3.0, 3.0], 2)
     qm = quadratize(compile_pubo(system, enc), aux="all")
-    a = simulated_anneal(qm, reads=500, sweeps=100, seed=42).to_json()
-    b = simulated_anneal(qm, reads=500, sweeps=100, seed=42).to_json()
+    a = sample_key(simulated_anneal(qm, reads=500, sweeps=100, seed=42))
+    b = sample_key(simulated_anneal(qm, reads=500, sweeps=100, seed=42))
     args = ["solve-poly", str(FIXTURE_DIR / "quadratic_2x2.json"), "--backend",
             "anneal", "--reads", "200", "--sweeps", "50", "--seed", "4",
             "--lo", "0", "--hi", "3", "--bits", "2"]

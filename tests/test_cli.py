@@ -1,5 +1,6 @@
 """Command-line workflows: reports, exit codes, reproducibility."""
 
+import argparse
 import csv
 import json
 import os
@@ -15,18 +16,37 @@ from polyqubo import cli
 from polyqubo.cli import main
 
 QUAD_FIXTURE = str(FIXTURE_DIR / "quadratic_2x2.json")
-LINEAR = "<linear system file>"  # stands for a 3-variable degree-1 system
+LINEAR = str(FIXTURE_DIR / "linear_3x3.json")  # a 3-variable degree-1 system
 
 
 def run(args):
     return main([str(a) for a in args])
 
 
-def linear_argv(argv, tmp_path):
-    """argv with LINEAR replaced by the path of a saved 3-variable linear system."""
-    src = tmp_path / "linear.json"
-    save_system(PolynomialSystem([[-1.0, 0.5, 2.0], np.diag([2.0, 1.0, 3.0])]), src)
-    return [src if a == LINEAR else a for a in argv]
+def _backends():
+    """(command, backend) for every --backend choice of every command build_parser declares."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        (backend,) = [a for a in sub._actions if a.dest == "backend"]
+        yield from ((command, choice) for choice in backend.choices)
+
+
+# a value each solver and encoding flag accepts on BASE_ARGV
+SOLVER_FLAGS = {"--lo": "-1", "--hi": "1", "--bits": "2", "--seed": "1", "--reads": "3",
+                "--sweeps": "2", "--t-hot": "10", "--t-cold": "1e-3", "--aux": "all",
+                "--penalty": "5"}
+SOLVER_DESTS = {flag[2:].replace("-", "_") for flag in SOLVER_FLAGS}
+# a small run of each command; sweep sweeps precision, so its own --bits (the
+# fixed bit count of the other kinds, not an encoding flag) is unread there too
+BASE_ARGV = {
+    "solve-poly": ["solve-poly", LINEAR],
+    "solve-linear": ["solve-linear", LINEAR],
+    "regress": ["regress", "--noiseless", "--basis", "poly:1", "--x-points", "10"],
+    "sweep": ["sweep", "--kind", "precision", "--bits-list", "2", "--n", "2"],
+    "iterate": ["iterate", "--n", "2", "--iters", "2"],
+}
+FLAG_CASES = [(command, backend, flag) for command, backend in _backends() for flag in SOLVER_FLAGS]
 
 
 class TestSolvePoly:
@@ -146,9 +166,10 @@ class TestRegress:
     @pytest.mark.parametrize("backend", ["brute", "anneal", "cg"])
     def test_every_backend_writes_parameters_and_gls_rss(self, tmp_path, backend):
         out = tmp_path / "report.json"
-        anneal = ["--reads", "300", "--sweeps", "100"] if backend == "anneal" else []
-        assert run(["regress", "--noiseless", "--bits", "4", "--lo", "0", "--hi", "15",
-                    "--backend", backend, *anneal, "--output", out]) == 0
+        flags = {"brute": ["--bits", "4", "--lo", "0", "--hi", "15"], "cg": []}
+        flags["anneal"] = flags["brute"] + ["--reads", "300", "--sweeps", "100"]
+        assert run(["regress", "--noiseless", "--backend", backend, *flags[backend],
+                    "--output", out]) == 0
         report = json.loads(out.read_text())
         np.testing.assert_allclose(report["parameters"], [8.0, 4.0, 7.0], atol=1e-6)
         assert report["gls_rss"] == pytest.approx(0.0, abs=1e-9)
@@ -242,7 +263,7 @@ class TestErrorPaths:
     def test_non_finite_penalty_rejected_without_aux(self, tmp_path, capsys, penalty):
         # a degree-1 system allocates no auxiliary, so C is never used
         out = tmp_path / "report.json"
-        argv = linear_argv(["solve-poly", LINEAR, "--bits", "2", "--penalty", penalty], tmp_path)
+        argv = ["solve-poly", LINEAR, "--bits", "2", "--penalty", penalty]
         assert run(argv + ["--output", out]) == 1
         assert "positive finite number" in capsys.readouterr().err
         assert not out.exists()
@@ -251,8 +272,8 @@ class TestErrorPaths:
                                              ("--t-cold", "nan")])
     def test_non_finite_temperature_rejected(self, tmp_path, capsys, flag, value):
         out = tmp_path / "report.json"
-        argv = linear_argv(["solve-linear", LINEAR, "--bits", "2", "--backend", "anneal",
-                            "--reads", "10", "--sweeps", "5", flag, value], tmp_path)
+        argv = ["solve-linear", LINEAR, "--bits", "2", "--backend", "anneal",
+                "--reads", "10", "--sweeps", "5", flag, value]
         assert run(argv + ["--output", out]) == 1
         assert "temperature ladder" in capsys.readouterr().err
         assert not out.exists()
@@ -298,7 +319,7 @@ class TestSolverFlags:
     ])
     def test_oversized_brute_request_names_limit(self, tmp_path, capsys, argv, num_bits):
         out = tmp_path / "report.json"
-        assert run(linear_argv(argv, tmp_path) + ["--backend", "brute", "--output", out]) == 1
+        assert run(argv + ["--backend", "brute", "--output", out]) == 1
         err = capsys.readouterr().err
         assert "24" in err and str(num_bits) in err
         assert not out.exists()
@@ -333,28 +354,47 @@ class TestSolverFlags:
             del report["config"]
         assert reports[0] != reports[1]
 
-    @pytest.mark.parametrize("argv, backends", [
-        (["solve-poly", LINEAR], ["brute", "cg"]),
-        (["solve-linear", LINEAR], ["brute", "cg"]),
-        (["regress", "--noiseless"], ["brute", "cg"]),
-        (["sweep", "--kind", "size", "--sizes", "2"], ["brute"]),
-        (["iterate"], ["brute"]),
-    ], ids=["solve-poly", "solve-linear", "regress", "sweep", "iterate"])
-    def test_anneal_flags_refused_off_anneal(self, tmp_path, capsys, argv, backends):
+    @pytest.mark.parametrize("command, backend, flag", FLAG_CASES)
+    def test_every_flag_read_or_refused(self, tmp_path, capsys, command, backend, flag):
         out = tmp_path / "report.json"
-        argv = linear_argv(argv, tmp_path) + ["--output", out]
-        for backend in backends:
-            for flag, value in [("--reads", "10"), ("--sweeps", "5"), ("--t-hot", "2"),
-                                ("--t-cold", "0.1")]:
-                assert run(argv + ["--backend", backend, flag, value]) == 1
-                err = capsys.readouterr().err
-                assert flag in err and "--backend anneal" in err
-                assert not out.exists()
-            # unflagged, the brute and cg configs leave the anneal budget out
-            assert run(argv + ["--backend", backend]) == 0
-            config = json.loads(out.read_text())["config"]
-            assert "reads" not in config and "sweeps" not in config
-            out.unlink()
+        read = cli._READS[command][backend]
+        dest = flag[2:].replace("-", "_")
+        argv = BASE_ARGV[command] + ["--backend", backend]
+        if backend == "anneal":
+            argv += ["--reads", "3", "--sweeps", "2"]
+        code = run(argv + [flag, SOLVER_FLAGS[flag], "--output", out])
+        if dest not in read:
+            assert code == 1
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+            return
+        assert code == 0
+        # the config echoes exactly the flags read: those given and those with a default
+        config = json.loads(out.read_text())["config"]
+        assert SOLVER_DESTS.intersection(config) == {
+            f for f in read if f == dest or f in cli._DEFAULTS
+        }
+
+    @pytest.mark.parametrize("argv, flag, choice", [
+        *(
+            (["sweep", "--kind", kind, cli._option(values), "2", cli._option(other), "3"],
+             cli._option(other), f"--kind {kind}")
+            for kind, (values, swept) in cli._SWEPT.items()
+            for other in [swept] + [v for v, _ in cli._SWEPT.values() if v != values]
+        ),
+        (["regress", "--cov", "nofile.csv"], "--cov", "without --data"),
+        (["regress", "--noiseless", "--noise-seed", "3"], "--noise-seed", "--noiseless"),
+        (["regress", "--data", "nofile.csv", "--noise-seed", "3"], "--noise-seed", "--data"),
+        (["regress", "--data", "nofile.csv", "--x-points", "5"], "--x-points", "--data"),
+        (["regress", "--data", "nofile.csv", "--corr-base", "0.5"], "--corr-base", "--data"),
+    ])
+    def test_flag_another_choice_leaves_unread_refused(self, tmp_path, capsys, argv, flag,
+                                                        choice):
+        # refused before any input is read: the missing file is never opened
+        out = tmp_path / "report.json"
+        assert run(argv + ["--output", out]) == 1
+        assert f"{flag} is not read by {argv[0]} {choice}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("backend", ["brute", "anneal"])
     def test_solver_block_same_for_every_frontend(self, tmp_path, backend):
@@ -364,7 +404,7 @@ class TestSolverFlags:
                      ["regress", "--noiseless", "--basis", "poly:1", "--bits", "3",
                       "--lo", "0", "--hi", "70"]):
             out = tmp_path / "report.json"
-            argv = linear_argv(argv, tmp_path) + ["--backend", backend, *anneal]
+            argv = argv + ["--backend", backend, *anneal]
             assert run(argv + ["--output", out]) == 0
             blocks.append(json.loads(out.read_text())["solver"])
         assert blocks[0].keys() == blocks[1].keys()
@@ -378,7 +418,7 @@ class TestSolverFlags:
     ])
     def test_penalty_only_on_solve_poly(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"
-        assert run(linear_argv(argv, tmp_path) + ["--penalty", "-5", "--output", out]) == 1
+        assert run(argv + ["--penalty", "-5", "--output", out]) == 1
         assert "--penalty" in capsys.readouterr().err
         assert not out.exists()
 
@@ -419,7 +459,7 @@ class TestCsvReports:
     ])
     def test_cells_are_scalars(self, tmp_path, argv):
         out = tmp_path / "report.csv"
-        assert run(linear_argv(argv, tmp_path) + ["--format", "csv", "--output", out]) == 0
+        assert run(argv + ["--format", "csv", "--output", out]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["field", "value"]
@@ -448,7 +488,7 @@ class TestCgPaths:
 
         monkeypatch.setattr(cli, "conjugate_gradient", stalled)
         out = tmp_path / "report.json"
-        argv = linear_argv(["solve-linear", LINEAR, "--backend", "cg"], tmp_path)
+        argv = ["solve-linear", LINEAR, "--backend", "cg"]
         assert run(argv + ["--output", out]) == 2
         assert "did not converge" in capsys.readouterr().err
         assert not out.exists()
@@ -457,7 +497,7 @@ class TestCgPaths:
         reports = []
         for command in ("solve-poly", "solve-linear"):
             out = tmp_path / f"{command}.json"
-            argv = linear_argv([command, LINEAR, "--backend", "cg"], tmp_path)
+            argv = [command, LINEAR, "--backend", "cg"]
             assert run(argv + ["--output", out]) == 0
             reports.append(json.loads(out.read_text()))
         assert reports[0]["solution"] == reports[1]["solution"]

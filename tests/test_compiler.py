@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_DIR, dense_pubo, planted_pubo, random_encoding, random_system
+from conftest import (
+    GOLDEN_DIR, all_bitstrings, dense_pubo, planted_pubo, random_encoding, random_system,
+)
 from polyqubo import compiler
 from polyqubo import (
     PolynomialSystem,
     PseudoBooleanPolynomial,
     QuboMatrix,
-    all_bitstrings,
     brute_force,
     chi_squared,
     choose_penalty,

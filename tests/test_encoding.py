@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyqubo import BitEncoding, all_bitstrings, decode, from_range, nearest_bits, refine
+from conftest import all_bitstrings
+from polyqubo import BitEncoding, decode, from_range, nearest_bits, refine
 
 
 class TestDecode:

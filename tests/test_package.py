@@ -15,8 +15,8 @@ MODULE_EXPORTS = {
                  "choose_penalty", "quadratize", "compile_linear_qubo", "pubo_energy",
                  "qubo_energy", "export_qubo"],
     "solvers": ["BruteForceResult", "SampleSet", "SampleRecord", "AnnealSchedule", "CgReport",
-                "all_bitstrings", "check_enumerable", "brute_force", "simulated_anneal",
-                "solve", "conjugate_gradient"],
+                "check_enumerable", "brute_force", "simulated_anneal", "solve",
+                "conjugate_gradient"],
     "regression": ["RegressionDataset", "BasisSet", "polynomial_basis", "normal_equations",
                    "generate_dataset", "gls_objective", "FitResult", "fit_qubo",
                    "load_dataset_csv", "save_dataset_csv"],

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import all_bitstrings
 from polyqubo import (
     BasisSet,
     RegressionDataset,
-    all_bitstrings,
     compile_linear_qubo,
     conjugate_gradient,
     decode,
