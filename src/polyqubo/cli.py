@@ -58,19 +58,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_vec(text: str, num_vars: int, flag: str) -> np.ndarray:
-    """A scalar broadcast over all variables, or a comma-separated list."""
+def _parse_vec(text: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated list; from_range shapes them into a window."""
     try:
-        parts = [float(p) for p in text.split(",")]
+        return [float(p) for p in text.split(",")]
     except ValueError as err:
         raise ConfigError(f"{flag} expects numbers, got {text!r}") from err
-    if len(parts) == 1:
-        return np.full(num_vars, parts[0])
-    if len(parts) != num_vars:
-        raise ConfigError(
-            f"{flag} lists {len(parts)} values but the problem has {num_vars} variables"
-        )
-    return np.array(parts)
 
 
 _ENCODING = ("lo", "hi", "bits")
@@ -95,7 +88,7 @@ _DEFAULTS = {"lo": "-1", "hi": "1", "bits": 2, "seed": 0, "reads": 1000, "sweeps
 _SWEPT = {"size": ("sizes", "n"), "condition": ("kappas", "kappa"),
           "precision": ("bits_list", "bits")}
 # regress: the dataset flags each data source reads
-_SOURCES = {"--data": ("cov",), "--noiseless": ("x_points", "corr_base"),
+_SOURCES = {"--data": ("cov",), "--noiseless": ("noiseless", "x_points", "corr_base"),
             "without --data": ("x_points", "corr_base", "noise_seed")}
 
 
@@ -208,13 +201,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("regress", help="generalized least squares via the QUBO pipeline")
     p.add_argument("--data", default=None, help="CSV with x,y columns (default: synthetic)")
     p.add_argument("--cov", default=None, help="covariance matrix CSV (with --data only)")
-    p.add_argument("--noiseless", action="store_true", help="synthetic data without noise")
+    p.add_argument("--noiseless", action="store_const", const=True,
+                   help="synthetic data without noise (not with --data)")
     p.add_argument("--noise-seed", type=int, default=None,
                    help="seeded synthetic noise draw (not with --data or --noiseless)")
     p.add_argument("--x-points", type=int, help=f"data points (default {_DEFAULTS['x_points']})")
     p.add_argument("--corr-base", type=float,
                    help=f"correlation base (default {_DEFAULTS['corr_base']})")
-    p.add_argument("--basis", default="poly:2", help="basis spec, e.g. poly:2")
+    p.add_argument("--basis", default="poly:2", help="poly:<degree>, degree >= 0 (default poly:2)")
     p.add_argument("--dump-data", default=None, help="also write the dataset as CSV")
     _add_common(p, "regress")
 
@@ -282,16 +276,16 @@ def _cg(system) -> tuple[np.ndarray, dict]:
 
 
 def _cmd_regress(args) -> dict:
+    kind, _, degree = args.basis.partition(":")
+    if kind != "poly" or not degree.isdecimal():
+        raise ConfigError(f"--basis expects poly:<degree> with degree >= 0, got {args.basis!r}")
     if args.data:
         data = _load_input(args.data, loader=lambda p: load_dataset_csv(p, args.cov))
     else:
         data = generate_dataset(args.x_points, args.corr_base, noise_seed=args.noise_seed)
     if args.dump_data:
         save_dataset_csv(data, args.dump_data)
-    if not args.basis.startswith("poly:"):
-        raise ConfigError(f"unsupported basis {args.basis!r}; expected poly:<degree>")
-    degree = int(args.basis.split(":", 1)[1])
-    basis = polynomial_basis(data.x_grid, degree)
+    basis = polynomial_basis(data.x_grid, int(degree))
     report = {"config": _echo_config(args)}
     if args.backend == "cg":
         params, report["solver"] = _cg(normal_equations(data, basis))
@@ -327,10 +321,9 @@ def _cmd_iterate(args) -> dict:
     spec = ConditionedSpec(args.n, args.kappa, seed=args.instance_seed)
     p1 = make_conditioned_matrix(spec)
     p0 = make_rhs(args.n)
-    lo = _parse_vec(args.lo, args.n, "--lo")
-    hi = _parse_vec(args.hi, args.n, "--hi")
     trace = iterate_solve(p1, p0, args.bits, args.iters, backend=args.backend,
-                          initial_lo=lo, initial_hi=hi, **_solver_args(args))
+                          initial_lo=_parse_vec(args.lo, "--lo"),
+                          initial_hi=_parse_vec(args.hi, "--hi"), **_solver_args(args))
     return {
         "config": _echo_config(args),
         "iterations": trace.to_dicts(),
@@ -349,12 +342,8 @@ def _load_input(path, loader=load_system):
 
 
 def _encoding_for(args, num_vars: int):
-    lo = _parse_vec(args.lo, num_vars, "--lo")
-    hi = _parse_vec(args.hi, num_vars, "--hi")
-    try:
-        return from_range(lo, hi, args.bits)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return from_range(_parse_vec(args.lo, "--lo"), _parse_vec(args.hi, "--hi"), args.bits,
+                      num_vars=num_vars)
 
 
 def _echo_config(args) -> dict:

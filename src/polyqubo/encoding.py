@@ -115,17 +115,18 @@ def decode(enc: BitEncoding, psi) -> np.ndarray:
 def from_range(lo, hi, bits: int, num_vars: int | None = None) -> BitEncoding:
     """Build an encoding whose grid spans [lo, hi] inclusive per variable.
 
-    ``lo``/``hi`` may be scalars (broadcast over ``num_vars`` variables) or
-    per-variable vectors.  The step is (hi - lo) / (2^R - 1) so both
-    endpoints are exact grid points.
+    ``lo`` and ``hi`` are each a scalar or one value per variable.  A scalar
+    end is broadcast to ``num_vars`` values, or without ``num_vars`` to the
+    length of the other end; a vector of any other length raises.  The step
+    is (hi - lo) / (2^R - 1) so both endpoints are exact grid points.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if num_vars is not None:
-        lo = np.broadcast_to(lo, (num_vars,)).copy() if lo.size == 1 else lo
-        hi = np.broadcast_to(hi, (num_vars,)).copy() if hi.size == 1 else hi
-    if lo.shape != hi.shape:
-        raise ValueError(f"lo and hi have mismatched shapes {lo.shape} vs {hi.shape}")
+    ends = [np.atleast_1d(np.asarray(end, dtype=float)) for end in (lo, hi)]
+    num_vars = max(end.size for end in ends) if num_vars is None else num_vars
+    for name, end in zip(("lo", "hi"), ends):
+        if end.shape not in ((1,), (num_vars,)):
+            raise ValueError(f"{name} lists {end.size} values but the encoding has "
+                             f"{num_vars} variables")
+    lo, hi = (np.full(num_vars, end) if end.size == 1 else end for end in ends)
     if np.any(hi <= lo):
         bad = int(np.argmax(hi <= lo))
         raise ValueError(

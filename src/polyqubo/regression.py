@@ -103,6 +103,8 @@ class BasisSet:
 
 def polynomial_basis(x_grid, degree: int) -> BasisSet:
     """Monomial basis 1, x, ..., x^degree evaluated on the grid."""
+    if degree < 0:
+        raise ValueError(f"basis degree must be >= 0, got {degree}")
     x_grid = np.asarray(x_grid, dtype=float)
     design = np.vander(x_grid, degree + 1, increasing=True)
     return BasisSet(design, names=tuple(f"x^{k}" for k in range(degree + 1)))

@@ -301,9 +301,23 @@ class TestErrorPaths:
     def test_unknown_flag(self, capsys):
         assert run(["solve-poly", QUAD_FIXTURE, "--frobnicate"]) == 1
 
-    def test_bad_range_list(self, capsys):
-        assert run(["solve-poly", QUAD_FIXTURE, "--lo", "0,0,0"]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["solve-poly", QUAD_FIXTURE, "--lo", "0,0,0"],
+        ["iterate", "--n", "2", "--lo", "0,0,0"],
+        ["solve-linear", LINEAR, "--hi", "1,2,3,4"],
+    ])
+    def test_bad_range_list(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        assert run(argv + ["--output", out]) == 1
         assert "variables" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("basis", ["poly:x", "poly:-1", "cubic"])
+    def test_bad_basis_refused_before_data(self, tmp_path, capsys, basis):
+        out, dump = tmp_path / "report.json", tmp_path / "data.csv"
+        assert run(["regress", "--basis", basis, "--dump-data", dump, "--output", out]) == 1
+        assert "--basis" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POLYQUBO_OUTDIR", str(tmp_path))
@@ -387,6 +401,7 @@ class TestSolverFlags:
         (["regress", "--data", "nofile.csv", "--noise-seed", "3"], "--noise-seed", "--data"),
         (["regress", "--data", "nofile.csv", "--x-points", "5"], "--x-points", "--data"),
         (["regress", "--data", "nofile.csv", "--corr-base", "0.5"], "--corr-base", "--data"),
+        (["regress", "--data", "nofile.csv", "--noiseless"], "--noiseless", "--data"),
     ])
     def test_flag_another_choice_leaves_unread_refused(self, tmp_path, capsys, argv, flag,
                                                         choice):

@@ -85,6 +85,24 @@ class TestFromRange:
         with pytest.raises(ValueError, match="bits"):
             from_range([0.0], [1.0], 0)
 
+    @pytest.mark.parametrize("lo, hi, num_vars, message", [
+        ([0.0] * 3, [1.0] * 3, 2, "lo lists 3 values but the encoding has 2 variables"),
+        (0.0, [1.0, 2.0], 3, "hi lists 2 values but the encoding has 3 variables"),
+        ([0.0, 0.0], [1.0, 2.0, 3.0], None, "lo lists 2 values but the encoding has 3 variables"),
+    ])
+    def test_end_of_wrong_length_rejected(self, lo, hi, num_vars, message):
+        with pytest.raises(ValueError, match=message):
+            from_range(lo, hi, 2, num_vars=num_vars)
+
+    @pytest.mark.parametrize("num_vars", [None, 2])
+    def test_scalar_end_broadcasts_against_vector(self, num_vars):
+        enc = from_range(0.0, [3.0, 6.0], 2, num_vars=num_vars)
+        np.testing.assert_array_equal(enc.lo, [0.0, 0.0])
+        np.testing.assert_array_equal(enc.hi, [3.0, 6.0])
+        enc = from_range([-3.0, -6.0], 0.0, 2, num_vars=num_vars)
+        np.testing.assert_array_equal(enc.lo, [-3.0, -6.0])
+        np.testing.assert_array_equal(enc.hi, [0.0, 0.0])
+
 
 class TestRefine:
     def test_window_and_spacing(self):

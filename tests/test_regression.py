@@ -184,6 +184,10 @@ class TestBasisSet:
         np.testing.assert_array_equal(basis.design[:, 2], [0, 1, 4, 9])
         assert basis.names == ("x^0", "x^1", "x^2")
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            polynomial_basis(np.array([0.0, 1.0]), -1)
+
     def test_too_many_functions_rejected(self):
         with pytest.raises(ValueError, match="basis functions"):
             BasisSet(np.ones((2, 3)))
