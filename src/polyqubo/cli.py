@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 
@@ -64,6 +65,22 @@ def _parse_vec(text: str, flag: str) -> list[float]:
         return [float(p) for p in text.split(",")]
     except ValueError as err:
         raise ConfigError(f"{flag} expects numbers, got {text!r}") from err
+
+
+def _attach_ranges(argv: list[str]) -> list[str]:
+    """Join ``--lo``/``--hi`` to a following list that starts with a minus sign.
+
+    argparse reads a token such as ``-1,-2`` as an option, since it is not
+    a plain number, so ``--lo -1,-2`` would lack its value; ``--lo=-1,-2``
+    has it.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in ("--lo", "--hi") and re.match(r"-\.?\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 _ENCODING = ("lo", "hi", "bits")
@@ -366,7 +383,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_ranges(sys.argv[1:] if argv is None else argv))
         _read_or_refuse(args)
         handler, default_stem = _COMMANDS[args.command]
         started = time.perf_counter()

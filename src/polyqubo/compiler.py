@@ -14,13 +14,16 @@ which vanish exactly when aux = psi_i * psi_j and cost at least C otherwise.
 A PUBO is two arrays (see :class:`PseudoBooleanPolynomial`) that every
 layer reads as they are.  :func:`compile_pubo` groups the index rows of the
 residuals' bit expansion by canonical set and squares the residuals through
-the Gram matrix of their coefficients; :func:`sparsify` groups raw terms the
-same way.  :func:`quadratize` maps every term and penalty entry to its
-matrix cell and sums them with one unbuffered ``np.add.at`` in term order,
-as a loop would.  A QUBO is a PUBO with terms of at most two bits
-(:attr:`QuboMatrix.pubo`), so :func:`pubo_energy` is the one evaluator of
-both: a bilinear form over products of term halves, a table each polynomial
-builds once, which gives a state the same energy alone as in any batch.
+the Gram matrix of their coefficients.  The grouping depends only on the bit
+count and the degree, so it is planned once per such pair and kept
+(:func:`_index_plan`); each call does only the coefficient arithmetic over
+the plan.  :func:`sparsify` groups raw terms the same way.
+:func:`quadratize` maps every term and penalty entry to its matrix cell and
+sums them with one unbuffered ``np.add.at`` in term order, as a loop would.
+A QUBO is a PUBO with terms of at most two bits (:attr:`QuboMatrix.pubo`),
+so :func:`pubo_energy` is the one evaluator of both: a bilinear form over
+products of term halves, a table each polynomial builds once, which gives a
+state the same energy alone as in any batch.
 
 Degree-1 systems take the same compiler (:func:`compile_linear_qubo`): their
 PUBO terms have at most two bits, so quadratization adds no auxiliaries.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from types import MappingProxyType
 
@@ -294,7 +297,9 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
     canonical set (:func:`_group_sets`) gives the residual coefficient matrix
     F (sets x equations).  The squared residuals summed over equations are
     F F^T, whose upper triangle is grouped again by the union of each pair
-    of sets.  Terms come out in ascending tuple order, exact zeros dropped.
+    of sets.  Both groupings come from :func:`_index_plan`, kept per bit
+    count and degree.  Terms come out in ascending tuple order, exact zeros
+    dropped.
     """
     if enc.num_vars != system.num_variables:
         raise ValueError(
@@ -307,8 +312,8 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
         amap[j, j * enc.bits : (j + 1) * enc.bits] = enc.scale[j] * enc.weights
     amap[:, num_bits] = enc.offset
 
-    width = max(system.degree, 1)
-    rows, columns = [], []
+    num_sets, inverse, left, right, unions, union_of = _index_plan(num_bits, system.degree)
+    columns = []
     # power[v, z] = prod_m A[v_m, z_m] over variable tuples v and z tuples z.
     # Forming it before the coefficients makes an all-bit tuple's entry one
     # rounded product c * (a a'), as in a monomial-by-monomial expansion, so
@@ -318,12 +323,7 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
         if order:
             power = np.einsum("ab,cd->acbd", power, amap).reshape(enc.num_vars**order, -1)
         columns.append(tensor.reshape(system.num_equations, -1) @ power)
-        count = (num_bits + 1) ** order
-        padded = np.full((count, width), num_bits)
-        padded[:, :order] = np.indices((num_bits + 1,) * order).reshape(order, count).T
-        rows.append(padded)
-    sets, inverse = _group_sets(np.concatenate(rows), num_bits)
-    residual = np.zeros((len(sets), system.num_equations))
+    residual = np.zeros((num_sets, system.num_equations))
     np.add.at(residual, inverse, np.concatenate(columns, axis=1).T)
 
     # upper triangle of F F^T from separately rounded products: the fused
@@ -331,15 +331,44 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
     # equations cancel exactly, and each dust term is one more PUBO term and
     # possibly one more auxiliary in quadratize.  Blocks of pairs bound the
     # temporaries; each weight is its own row sum, so blocking changes no bit.
-    left, right = np.triu_indices(len(sets))
     weights = np.empty(len(left))
     block = max(1, _BLOCK_FLOATS // system.num_equations)
     for start in range(0, len(left), block):
         pair = slice(start, start + block)
         weights[pair] = (residual[left[pair]] * residual[right[pair]]).sum(axis=1)
     weights[left != right] *= 2.0
-    sets, inverse = _group_sets(np.hstack([sets[left], sets[right]]), num_bits)
-    return _collect(sets, np.bincount(inverse, weights), num_bits)
+    return _collect(unions, np.bincount(union_of, weights), num_bits)
+
+
+@lru_cache(maxsize=4)
+def _index_plan(num_bits: int, degree: int) -> tuple:
+    """The index work of :func:`compile_pubo`, which depends on nothing else.
+
+    Returns ``(num_sets, inverse, left, right, unions, union_of)``.  The
+    z-index rows of orders 0..degree, padded to ``max(degree, 1)`` columns,
+    fall into ``num_sets`` canonical sets, row i into set ``inverse[i]``.
+    ``(left, right)`` run over the upper triangle of set pairs, and pair k's
+    union is ``unions[union_of[k]]``.  The arrays are read-only, in the
+    narrowest unsigned dtype that holds them.
+    """
+    width = max(degree, 1)
+    rows = []
+    for order in range(degree + 1):
+        count = (num_bits + 1) ** order
+        padded = np.full((count, width), num_bits)
+        padded[:, :order] = np.indices((num_bits + 1,) * order).reshape(order, count).T
+        rows.append(padded)
+    sets, inverse = _group_sets(np.concatenate(rows), num_bits)
+    left, right = map(_compact, np.triu_indices(len(sets)))
+    unions, union_of = _group_sets(np.hstack([sets[left], sets[right]]), num_bits)
+    return len(sets), _compact(inverse), left, right, _compact(unions), _compact(union_of)
+
+
+def _compact(indices: np.ndarray) -> np.ndarray:
+    """Read-only copy of non-negative integers in the narrowest unsigned dtype."""
+    indices = indices.astype(np.min_scalar_type(indices.max(initial=0)))
+    indices.flags.writeable = False
+    return indices
 
 
 def choose_penalty(pubo: PseudoBooleanPolynomial) -> float:

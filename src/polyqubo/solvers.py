@@ -20,10 +20,13 @@ of squares.
   leaves the others' fields unchanged, so the samples are exactly those of
   one step per bit, with far fewer numpy calls on quadratized objectives,
   whose auxiliaries rarely couple to their neighbours.  A read chunk stops
-  after the first sweep in which every acceptance probability was 0.0, if
-  no later sweep runs hotter: nothing flipped, so the next sweep sees the
-  same fields and the same Δ > 0, and a temperature no higher keeps each
-  probability at 0.0.  No later sweep could flip a bit, so the samples are
+  after the first sweep that no uniform it has left can flip, if no later
+  sweep runs hotter: one in which every acceptance probability was 0.0, or,
+  in the final block of uniforms when that block holds no 0.0, below 2^-54
+  (numpy's uniforms are multiples of 2^-53, so such a probability accepts
+  only 0.0).  Nothing flipped, so the next sweep sees the same fields and
+  the same Δ > 0, and a temperature no higher keeps each probability below
+  any uniform left.  No later sweep could flip a bit, so the samples are
   those of the full ladder.
 * :func:`conjugate_gradient` — classical iterative reference for symmetric
   positive-definite linear systems.
@@ -34,6 +37,7 @@ and the one place that knows what each reports.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -253,14 +257,20 @@ def simulated_anneal(
     energy it has alone.
 
     A chunk stops after sweep s if every step of s gave every read an
-    acceptance probability ``p = exp(min(-Δ/t, 0))`` of exactly 0.0 and no
-    later temperature exceeds ``t``.  This is exact: a uniform in [0, 1) is
-    never below 0.0, so s flipped nothing; the next sweep's fields then come
-    from the same gemvs over the same states and have the same bits, as has
-    each Δ, which is > 0; and for ``t' <= t``, ``-Δ/t' <= -Δ/t`` stays below
-    the underflow of ``exp``, so p stays 0.0.  By induction no later sweep
-    flips a bit, and the uniforms it would read are never used.  A NaN
-    probability counts as nonzero, so it never stops a chunk.
+    acceptance probability ``p = exp(min(-Δ/t, 0))`` below a floor and no
+    later temperature exceeds ``t``.  The floor is 2^-54 in the chunk's
+    final block of uniforms if that block holds no 0.0 (one scan per
+    chunk), and otherwise the least positive float, so that only p = 0.0
+    is below it.  This is exact: ``Generator.random`` returns multiples of
+    2^-53, so a uniform that is not 0.0 is at least 2^-53, and a uniform in
+    [0, 1) is never below 0.0; so s flipped nothing.  The next sweep's
+    fields then come from the same gemvs over the same states and have the
+    same bits, as has each Δ, which is > 0; and for ``t' <= t``,
+    ``-Δ/t' <= -Δ/t``, so a p that underflowed to 0.0 stays 0.0, and one
+    below 2^-54 stays below 2^-53, a factor of two that covers the rounding
+    of ``exp``.  By induction no later sweep flips a bit, and the uniforms
+    it would read are never used.
+    A NaN probability is not below the floor, so it never stops a chunk.
 
     The bits split once into maximal runs of consecutive bits with zero
     coupling among them, and each sweep makes one vectorised Metropolis step
@@ -299,15 +309,22 @@ def simulated_anneal(
             span = min(block, sweeps - first)
             for r, rng in enumerate(rngs):
                 uniforms[r, :span] = rng.random((span, n))
+            # a probability below `floor` accepts no uniform the chunk has left.
+            # Only 0.0 is below math.ulp(0.0), the least positive float.  With
+            # no 0.0 in the final block every uniform left is >= 2^-53, and
+            # 2^-54 leaves a factor of two for the rounding of exp
+            floor = math.ulp(0.0)
+            if first + span == sweeps and uniforms[:, :span].all():
+                floor = 2.0**-54
             for s in range(span):
                 t = temps[first + s]
-                live = False  # some step of this sweep had a nonzero (or NaN) probability
+                live = False  # some step of this sweep had a probability >= floor (or NaN)
                 for run in runs:
                     fields = _run_fields(states, columns, run)
                     col = states[:, run]
                     delta = (1.0 - 2.0 * col) * (diag[run] + fields)
                     prob = np.exp(np.minimum(-delta / t, 0.0))
-                    live = live or prob.any()
+                    live = live or not (prob < floor).all()
                     accept = uniforms[:, s, run] < prob
                     states[:, run] = np.where(accept, 1.0 - col, col)
                 frozen = not live and coolest[first + s]

@@ -312,6 +312,17 @@ class TestErrorPaths:
         assert "variables" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_range_list_may_start_with_a_minus_sign(self, tmp_path):
+        # argparse alone reads -1,-2,-3 as an unknown option, not as --lo's value
+        reports = []
+        for lo in (["--lo", "-1,-2,-3"], ["--lo=-1,-2,-3"]):
+            out = tmp_path / f"report{len(reports)}.json"
+            assert run(["solve-linear", LINEAR, *lo, "--hi", "1", "--output", out]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        # the per-variable window's optimum, not --lo -1's (energy 41/36)
+        assert json.loads(reports[0])["energy"] == pytest.approx(49 / 36)
+
     @pytest.mark.parametrize("basis", ["poly:x", "poly:-1", "cubic"])
     def test_bad_basis_refused_before_data(self, tmp_path, capsys, basis):
         out, dump = tmp_path / "report.json", tmp_path / "data.csv"

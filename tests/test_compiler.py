@@ -307,6 +307,42 @@ class TestCompilePubo:
         assert brute_force(shifted).energy > 0.0
 
 
+class TestIndexPlan:
+    @pytest.mark.parametrize("shapes", [
+        # (equations, variables, bits per variable, degree)
+        [(3, 3, 4, 2), (4, 4, 5, 2), (3, 3, 4, 2)],
+        [(4, 4, 5, 2), (2, 2, 10, 2)],  # 20 bits each
+        [(3, 4, 5, 1), (3, 4, 5, 2), (3, 4, 5, 1)],
+    ])
+    def test_cached_plan_compiles_as_a_fresh_one(self, shapes):
+        rng = np.random.default_rng(len(shapes))
+        cases = [(random_system(rng, num_eq, num_vars, degree), random_encoding(rng, num_vars, bits))
+                 for num_eq, num_vars, bits, degree in shapes]
+        fresh = []
+        for case in cases:
+            compiler._index_plan.cache_clear()
+            fresh.append(compile_pubo(*case))
+        hits = compiler._index_plan.cache_info().hits
+        # the last case's plan is cached; the sequence then reuses it or an
+        # earlier plan for two of its compilations
+        cached = [compile_pubo(*case) for case in cases]
+        assert compiler._index_plan.cache_info().hits == hits + 2
+        for a, b in zip(fresh, cached):
+            assert a.rows.tobytes() == b.rows.tobytes() and a.rows.shape == b.rows.shape
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert a.offset == b.offset
+
+    def test_plan_arrays_are_compact_and_read_only(self):
+        rng = np.random.default_rng(3)
+        compile_pubo(random_system(rng, 4, 4, 2), random_encoding(rng, 4, 5))
+        num_sets, *arrays = compiler._index_plan(20, 2)
+        assert num_sets == 211  # (), 20 singletons, 190 pairs
+        for array in arrays:
+            assert array.dtype == np.min_scalar_type(array.max())
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
 class TestChoosePenalty:
     def test_formula(self):
         pubo = sparsify({(0,): 4.0, (0, 1): -6.0}, num_bits=2)

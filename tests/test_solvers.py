@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from itertools import combinations
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -442,6 +443,80 @@ class TestSimulatedAnneal:
         qm = QuboMatrix(np.zeros((5, 5)), 0.0, 5)
         _, steps = self.count_steps(qm, reads=8, sweeps=30, seed=1)
         assert steps == 30 * self.num_runs(qm)
+
+    def test_stops_at_the_first_sweep_no_uniform_can_flip(self, poly_qubos):
+        # every probability is below 2^-54 by sweep 20; some stay above 0.0
+        # until sweep 25, where a stop at exactly 0.0 would come
+        qm = poly_qubos[1]
+        args = dict(reads=16, sweeps=60, seed=3)
+        samples, steps = self.count_steps(qm, **args)
+        assert sample_key(samples) == sample_key(reference_anneal(qm, **args))
+        assert steps == 20 * self.num_runs(qm)
+
+    @pytest.mark.parametrize("uniform_floats, frozen_sweeps", [(solvers._UNIFORM_FLOATS, 2), (1, 8)])
+    def test_zero_uniform_in_the_final_block_keeps_the_chunk_running(
+        self, monkeypatch, uniform_floats, frozen_sweeps
+    ):
+        # at t = 1/40 a bit at 0 accepts with p = exp(-40) < 2^-54, so after
+        # the first sweep only a uniform of exactly 0.0 can flip one.  In
+        # blocks of one sweep only the last sweep is in the final block, and
+        # the sweeps before it stop only where every probability is 0.0
+        qm = QuboMatrix(np.eye(3), 0.0, 3)
+        ladder = lambda self, qm, sweeps: np.full(sweeps, 1 / 40)  # noqa: E731
+        monkeypatch.setattr(AnnealSchedule, "temperatures", ladder)
+        monkeypatch.setattr(solvers, "_UNIFORM_FLOATS", uniform_floats)
+        args = dict(reads=4, sweeps=8, seed=0)
+        _, steps = self.count_steps(qm, **args)
+        assert steps == frozen_sweeps * self.num_runs(qm)
+
+        default_rng = np.random.default_rng
+
+        def zero_in_last_sweep(seed):  # read 0 draws 0.0 for bit 2 in its last sweep
+            rng = default_rng(seed)
+            if seed:
+                return rng
+            drawn = [0]  # sweeps drawn so far
+
+            def random(shape):
+                uniforms = rng.random(shape)
+                drawn[0] += shape[0]
+                if drawn[0] == args["sweeps"]:  # this block ends with the last sweep
+                    uniforms[-1, 2] = 0.0
+                return uniforms
+
+            return SimpleNamespace(integers=rng.integers, random=random)
+
+        monkeypatch.setattr(np.random, "default_rng", zero_in_last_sweep)
+        samples, steps = self.count_steps(qm, **args)
+        assert sample_key(samples) == sample_key(reference_anneal(qm, **args))
+        assert steps == 8 * self.num_runs(qm)
+        assert (0, 0, 1) in [record.bits for record in samples.records]
+
+    def test_nan_probabilities_run_every_step(self):
+        # couplings of 1e308 whose sign alternates with the index: summed in
+        # SIMD lanes, each field meets +inf and -inf and is NaN, so every
+        # probability is NaN, no bit flips, and no sweep counts as frozen
+        n, reads = 32, 8
+        signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+        qm = QuboMatrix(np.triu(1e308 * signs, 1), 0.0, n)
+        coupling = qm.matrix + qm.matrix.T
+        states = np.array([np.random.default_rng(r).integers(0, 2, n) for r in range(reads)])
+        args = dict(reads=reads, sweeps=10, seed=0, schedule=AnnealSchedule(1.0, 0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in range(n):
+                assert np.isnan(solvers._run_fields(states * 1.0, coupling.T, v)).all()
+            samples, steps = self.count_steps(qm, **args)
+            reference = reference_anneal(qm, **args)
+        assert steps == 10 * self.num_runs(qm)
+        # NaN energies compare unequal, so compare the states and their counts
+        records = [sorted((r.bits, r.count) for r in s.records) for s in (samples, reference)]
+        assert records[0] == records[1]
+
+    def test_uniforms_are_multiples_of_2_to_the_minus_53(self):
+        # the stop rule's floor rests on this: a uniform other than 0.0 is >= 2^-53
+        for seed in (0, 1, 12345):
+            scaled = np.random.default_rng(seed).random(10**5) * 2.0**53
+            assert np.array_equal(scaled, np.floor(scaled))
 
     def test_uniform_blocks_keep_the_stream(self, quad_qubo, monkeypatch):
         # blocks of one sweep draw the same uniforms as one block of all sweeps
