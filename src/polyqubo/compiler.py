@@ -14,16 +14,17 @@ which vanish exactly when aux = psi_i * psi_j and cost at least C otherwise.
 A PUBO is two arrays (see :class:`PseudoBooleanPolynomial`) that every
 layer reads as they are.  :func:`compile_pubo` groups the index rows of the
 residuals' bit expansion by canonical set and squares the residuals through
-the Gram matrix of their coefficients.  The grouping depends only on the bit
-count and the degree, so it is planned once per such pair and kept
-(:func:`_index_plan`); each call does only the coefficient arithmetic over
-the plan.  :func:`sparsify` groups raw terms the same way.
-:func:`quadratize` maps every term and penalty entry to its matrix cell and
-sums them with one unbuffered ``np.add.at`` in term order, as a loop would.
-A QUBO is a PUBO with terms of at most two bits (:attr:`QuboMatrix.pubo`),
-so :func:`pubo_energy` is the one evaluator of both: a bilinear form over
-products of term halves, a table each polynomial builds once, which gives a
-state the same energy alone as in any batch.
+the Gram matrix of their coefficients.  The grouping, and the halves of each
+set it yields, depend only on the bit count and the degree, so they are
+planned once per such pair and kept (:func:`_index_plan`); each call does
+only the coefficient arithmetic over the plan.  :func:`sparsify` groups raw
+terms the same way.  :func:`quadratize` maps every term and penalty entry to
+a flat matrix cell and sums them with one ``np.bincount`` in term order, as a
+loop would.  A QUBO is a PUBO of terms of at most two bits
+(:attr:`QuboMatrix.pubo`), so :func:`pubo_energy` is the one evaluator of
+both: a bilinear form over products of term halves, a table built on first
+use by one scatter over the plan's or the matrix's halves (other polynomials
+group theirs), which gives a state the same energy alone as in any batch.
 
 Degree-1 systems take the same compiler (:func:`compile_linear_qubo`): their
 PUBO terms have at most two bits, so quadratization adds no auxiliaries.
@@ -89,25 +90,23 @@ class PseudoBooleanPolynomial:
 
     @cached_property
     def terms(self) -> Mapping[tuple[int, ...], float]:
-        sizes = np.count_nonzero(self.rows != self.num_bits, axis=1)
+        sizes = _set_sizes(self.rows, self.num_bits)
         names = [tuple(row[:k]) for row, k in zip(self.rows.tolist(), sizes.tolist())]
         return MappingProxyType(dict(zip(names, self.coeffs.tolist())))
 
     @cached_property
     def _half_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct term halves and the H x H matrix M of :func:`pubo_energy`."""
-        num_bits = self.num_bits
+        """Distinct term halves in use and the H x H matrix M of :func:`pubo_energy`;
+        a :func:`compile_pubo` output brings its terms' halves (``_plan_halves``)."""
         # with no terms, one padding column keeps the half products defined
-        rows = self.rows if self.rows.shape[1] else np.full((0, 1), num_bits)
-        sizes = np.count_nonzero(rows != num_bits, axis=1)
-        first = np.arange(rows.shape[1]) < (sizes[:, None] + 1) // 2
-        half = (rows.shape[1] + 1) // 2
-        left = np.where(first, rows, num_bits)[:, :half]
-        right = np.sort(np.where(first, num_bits, rows), axis=1)[:, :half]
-        halves, inverse = _group_sets(np.concatenate([left, right]), num_bits)
-        pairs = np.zeros((len(halves), len(halves)))
-        pairs[inverse[: len(rows)], inverse[len(rows) :]] = self.coeffs
-        return halves, pairs
+        rows = self.rows if self.rows.shape[1] else np.full((0, 1), self.num_bits)
+        halves, left, right = vars(self).get("_plan_halves") or _group_halves(rows, self.num_bits)
+        used = np.zeros(len(halves), dtype=bool)
+        used[left] = used[right] = True
+        position = np.cumsum(used) - 1
+        pairs = np.zeros((int(used.sum()),) * 2)
+        pairs[position[left], position[right]] = self.coeffs
+        return halves[np.flatnonzero(used), : (rows.shape[1] + 1) // 2].astype(np.intp), pairs
 
     @property
     def max_term_size(self) -> int:
@@ -172,18 +171,18 @@ class QuboMatrix:
     @cached_property
     def pubo(self) -> PseudoBooleanPolynomial:
         """This QUBO as a PUBO: entry (i, i) is the term (i,) and (i, j) is (i, j).
-        Row-major order is tuple order; a leading empty set carries the offset.
+        Row-major order, that of ``np.flatnonzero``, is tuple order.
 
         Its half table (see :func:`pubo_energy`) comes straight from the
         matrix: the halves are () if a diagonal entry is nonzero, then every
         used bit in ascending order, and M is the matrix on those bits with
         the diagonal moved to the () column."""
         n = self.num_bits
-        i, j = np.nonzero(self.matrix)
-        second, values = np.where(i < j, j, n), self.matrix[i, j]
-        pubo = _collect(
-            np.vstack([[n, n], np.stack([i, second], axis=1)]), np.r_[self.offset, values], n
-        )
+        flat = np.flatnonzero(self.matrix)
+        i, j = np.divmod(flat, max(n, 1))
+        second = np.where(i < j, j, n)
+        rows = np.stack([i, second], axis=1)[:, : 2 if (i < j).any() else min(len(flat), 1)]
+        pubo = PseudoBooleanPolynomial(rows, self.matrix.ravel().take(flat), self.offset, n)
         used = np.zeros(n + 1, dtype=bool)  # index n is ()
         used[i] = used[second] = True
         order = np.r_[n, :n]  # tuple order: () first
@@ -191,7 +190,7 @@ class QuboMatrix:
         position = np.zeros(n + 1, dtype=np.intp)
         position[halves] = np.arange(len(halves))
         pairs = np.zeros((len(halves), len(halves)))
-        pairs[position[i], position[second]] = values
+        pairs[position[i], position[second]] = pubo.coeffs
         object.__setattr__(pubo, "_half_table", (halves[:, None], pairs))
         return pubo
 
@@ -269,13 +268,31 @@ def _group_sets(rows: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarray
     return rows[first], inverse.reshape(-1)
 
 
+def _set_sizes(rows: np.ndarray, num_bits: int) -> np.ndarray:
+    """Bits per padded row: its entries other than ``num_bits``, one column at a time."""
+    return sum((column != num_bits for column in rows.T), np.zeros(len(rows), dtype=np.intp))
+
+
+def _group_halves(rows: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct halves of canonical padded sets, in tuple order, as ``(halves, left, right)``:
+    row i of k bits is ``halves[left[i]]``, its first ceil(k/2) bits, then ``halves[right[i]]``."""
+    first = np.arange(rows.shape[1]) < (_set_sizes(rows, num_bits)[:, None] + 1) // 2
+    half = (rows.shape[1] + 1) // 2
+    left = np.where(first, rows, num_bits)[:, :half]
+    right = np.sort(np.where(first, num_bits, rows), axis=1)[:, :half]
+    halves, inverse = _group_sets(np.concatenate([left, right]), num_bits)
+    return halves, inverse[: len(rows)], inverse[len(rows) :]
+
+
 def _collect(sets: np.ndarray, totals: np.ndarray, num_bits: int) -> PseudoBooleanPolynomial:
     """Polynomial of grouped sets: the empty one (first) is the offset, zeros go."""
-    sizes = np.count_nonzero(sets != num_bits, axis=1)
-    keep = (totals != 0.0) & (sizes > 0)
+    sizes = _set_sizes(sets, num_bits)
+    keep = np.flatnonzero((totals != 0.0) & (sizes > 0))
     offset = float(totals[0]) if len(sizes) and not sizes[0] else 0.0
-    width = int(sizes[keep].max(initial=0))
-    return PseudoBooleanPolynomial(sets[keep, :width], totals[keep], offset, num_bits)
+    width = int(sizes.take(keep).max(initial=0))
+    return PseudoBooleanPolynomial(
+        sets.take(keep, axis=0)[:, :width], totals.take(keep), offset, num_bits
+    )
 
 
 def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPolynomial:
@@ -312,7 +329,8 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
         amap[j, j * enc.bits : (j + 1) * enc.bits] = enc.scale[j] * enc.weights
     amap[:, num_bits] = enc.offset
 
-    num_sets, inverse, left, right, unions, union_of = _index_plan(num_bits, system.degree)
+    plan = _index_plan(num_bits, system.degree)
+    num_sets, inverse, left, right, unions, union_of, halves, lower, upper = plan
     columns = []
     # power[v, z] = prod_m A[v_m, z_m] over variable tuples v and z tuples z.
     # Forming it before the coefficients makes an all-bit tuple's entry one
@@ -335,21 +353,25 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
     block = max(1, _BLOCK_FLOATS // system.num_equations)
     for start in range(0, len(left), block):
         pair = slice(start, start + block)
-        weights[pair] = (residual[left[pair]] * residual[right[pair]]).sum(axis=1)
+        weights[pair] = (residual.take(left[pair], 0) * residual.take(right[pair], 0)).sum(1)
     weights[left != right] *= 2.0
-    return _collect(unions, np.bincount(union_of, weights), num_bits)
+    totals = np.bincount(union_of, weights)
+    pubo = _collect(unions, totals, num_bits)
+    kept = np.flatnonzero(totals[1:]) + 1  # the terms' unions; union 0 is the empty set
+    object.__setattr__(pubo, "_plan_halves", (halves, lower.take(kept), upper.take(kept)))
+    return pubo
 
 
 @lru_cache(maxsize=4)
 def _index_plan(num_bits: int, degree: int) -> tuple:
     """The index work of :func:`compile_pubo`, which depends on nothing else.
 
-    Returns ``(num_sets, inverse, left, right, unions, union_of)``.  The
-    z-index rows of orders 0..degree, padded to ``max(degree, 1)`` columns,
-    fall into ``num_sets`` canonical sets, row i into set ``inverse[i]``.
-    ``(left, right)`` run over the upper triangle of set pairs, and pair k's
-    union is ``unions[union_of[k]]``.  The arrays are read-only, in the
-    narrowest unsigned dtype that holds them.
+    Returns ``(num_sets, inverse, left, right, unions, union_of, halves, lower,
+    upper)``.  The z-index rows of orders 0..degree, padded to ``max(degree, 1)``
+    columns, fall into ``num_sets`` canonical sets, row i into set ``inverse[i]``.
+    ``(left, right)`` run over the upper triangle of set pairs, pair k's union is
+    ``unions[union_of[k]]``, and union u's term halves are ``halves[lower[u]]``
+    and ``halves[upper[u]]``.  The arrays are read-only and compact (:func:`_compact`).
     """
     width = max(degree, 1)
     rows = []
@@ -359,9 +381,10 @@ def _index_plan(num_bits: int, degree: int) -> tuple:
         padded[:, :order] = np.indices((num_bits + 1,) * order).reshape(order, count).T
         rows.append(padded)
     sets, inverse = _group_sets(np.concatenate(rows), num_bits)
-    left, right = map(_compact, np.triu_indices(len(sets)))
+    left, right = np.triu_indices(len(sets))
     unions, union_of = _group_sets(np.hstack([sets[left], sets[right]]), num_bits)
-    return len(sets), _compact(inverse), left, right, _compact(unions), _compact(union_of)
+    arrays = (inverse, left, right, unions, union_of, *_group_halves(unions, num_bits))
+    return len(sets), *map(_compact, arrays)
 
 
 def _compact(indices: np.ndarray) -> np.ndarray:
@@ -374,11 +397,12 @@ def _compact(indices: np.ndarray) -> np.ndarray:
 def choose_penalty(pubo: PseudoBooleanPolynomial) -> float:
     """Auxiliary-consistency weight that safely dominates any single violation.
 
-    Returns ``1 + 2 * sum(|coefficients|)``, summed one by one in term order.
-    Breaking one constraint costs at least the returned C, while the largest
-    energy decrease obtainable anywhere in the objective is below C.
+    Returns ``1 + 2 * sum(|coefficients|)``, summed in term order by a
+    sequential ``np.cumsum``, as a loop of additions.  Breaking one constraint
+    costs at least C, while no energy decrease in the objective reaches C.
     """
-    return 1.0 + 2.0 * float(sum(map(abs, pubo.coeffs.tolist())))
+    with np.errstate(over="ignore"):  # quadratize refuses an infinite C by name
+        return 1.0 + 2.0 * float(np.cumsum(np.abs(pubo.coeffs))[-1:].sum())
 
 
 def quadratize(
@@ -416,40 +440,43 @@ def quadratize(
         flaw = "positive" if math.isfinite(float(penalty)) else "finite"
         raise ValueError(f"penalty {penalty!r} is not {flaw}: it must be a positive finite number")
 
-    rows = np.pad(pubo.rows, ((0, 0), (0, 4 - pubo.max_term_size)), constant_values=n_log)
-    sizes = np.count_nonzero(rows != n_log, axis=1)
-    aux_of = np.zeros((n_log + 1, n_log + 1), dtype=np.intp)
+    side = n_log + 1  # cell i * side + j of an (L + 1)^2 table: pair (i, j), none if j = L
+    rows = np.full((len(pubo.coeffs), 4), n_log)
+    rows[:, : pubo.max_term_size] = pubo.rows
+    sizes = _set_sizes(pubo.rows, n_log)
+    first, second = rows[:, 0] * side + rows[:, 1], rows[:, 2] * side + rows[:, 3]
     if aux == "all":
-        pairs = np.transpose(np.triu_indices(n_log, 1))
-    else:
-        substituted = np.concatenate([rows[sizes >= 3, :2], rows[sizes == 4, 2:]])
-        aux_of[substituted[:, 0], substituted[:, 1]] = 1
-        pairs = np.argwhere(aux_of)  # row-major: ascending (i, j)
-    num_aux = len(pairs)
-    aux_of[pairs[:, 0], pairs[:, 1]] = n_log + np.arange(num_aux)
+        i, j = np.triu_indices(n_log, 1)
+    else:  # the first pair of each cubic and quartic term, the second of each quartic
+        substituted = np.zeros(side * side, dtype=bool)
+        substituted[np.where(sizes >= 3, first, n_log)] = substituted[second] = True
+        substituted[n_log::side] = False
+        i, j = np.divmod(np.flatnonzero(substituted), side)  # ascending (i, j)
+    num_aux = len(i)
+    a = n_log + np.arange(num_aux)
+    aux_of = np.zeros(side * side, dtype=np.intp)
+    aux_of[i * side + j] = a
     c_pen = (choose_penalty(pubo) if penalty is None else float(penalty)) if num_aux else 0.0
     if not math.isfinite(c_pen):
         raise ValueError(f"chosen penalty {c_pen!r} is not finite; pass a finite penalty=")
     # each term is a product of two factors: bits, or auxiliaries for pairs
-    left = np.where(sizes >= 3, aux_of[rows[:, 0], rows[:, 1]], rows[:, 0])
-    last = rows[np.arange(len(sizes)), sizes - 1]
-    right = np.where(sizes == 4, aux_of[rows[:, 2], rows[:, 3]], last)
-    # penalty entries follow the terms, pair by pair, in the order
-    # (i, j), (i, aux), (j, aux), (aux, aux)
-    i, j = pairs.T
-    a = n_log + np.arange(num_aux)
-    cells = (
-        np.concatenate([np.minimum(left, right), np.stack([i, i, j, a], axis=1).ravel()]),
-        np.concatenate([np.maximum(left, right), np.stack([j, a, a, a], axis=1).ravel()]),
-    )
+    left = np.where(sizes >= 3, aux_of.take(first), rows[:, 0])
+    last = rows.ravel().take(4 * np.arange(len(sizes)) + sizes - 1)
+    right = np.where(sizes == 4, aux_of.take(second), last)
+    # flat cells of the terms, then of each pair's penalty (i, j), (i, a), (j, a), (a, a)
+    size = n_log + num_aux
+    cells = np.concatenate([
+        np.minimum(left, right) * size + np.maximum(left, right),
+        np.stack([i * size + j, i * size + a, j * size + a, a * size + a], axis=1).ravel(),
+    ])
     values = np.concatenate([
         pubo.coeffs,
         np.tile([c_pen, -2.0 * c_pen, -2.0 * c_pen, 3.0 * c_pen], num_aux),
     ])
-    q = np.zeros((n_log + num_aux, n_log + num_aux))
-    # unbuffered and in order: every entry sums its contributions in sequence
-    np.add.at(q, cells, values)
-    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=pairs.tolist(), penalty=c_pen)
+    # bincount adds every cell's contributions in sequence, as a loop would
+    q = np.bincount(cells, values, minlength=size * size).reshape(size, size)
+    aux_pairs = np.stack([i, j], axis=1).tolist()
+    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=aux_pairs, penalty=c_pen)
 
 
 def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatrix:
@@ -484,7 +511,7 @@ def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
     rather than BLAS, whose kernels change the summation order with a row's
     position in the block: this way a state's energy is the same bits
     however the batch is sliced.  A polynomial builds its halves and M on its
-    first evaluation and keeps them for later calls.
+    first evaluation, from its plan's halves if :func:`compile_pubo` made it.
     """
     psi = np.asarray(psi)
     num_bits = pubo.num_bits

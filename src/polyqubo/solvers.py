@@ -120,18 +120,19 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
     low, high = masks & ((1 << lo) - 1), masks >> lo
     pure_hi = low == 0
     highs, which = np.unique(np.r_[0, high[~pure_hi]], return_inverse=True)
-    # [C | e_hi] and [R ; 1] by the states' masks, before the subset sums;
-    # distinct terms have distinct masks, so each cell gets one coefficient
-    left, right = np.zeros((1 << hi, len(highs) + 1)), np.zeros((len(highs) + 1, 1 << lo))
+    # [C | e_hi] and R^T, state-major, by the states' masks, before the subset
+    # sums; distinct terms have distinct masks, so each cell gets one coefficient
+    left, low_sums = np.zeros((1 << hi, len(highs) + 1)), np.zeros((1 << lo, len(highs)))
     left[highs, np.arange(len(highs))] = 1.0
     left[high[pure_hi], -1] = pubo.coeffs[pure_hi]
-    right[which[1:], low[~pure_hi]] = pubo.coeffs[~pure_hi]
+    low_sums[low[~pure_hi], which[1:]] = pubo.coeffs[~pure_hi]
     # subset sums over the states: each entry without bit b adds to the one with it
-    for table, width, per_state in ((left, hi, len(highs) + 1), (right[:-1], lo, 1)):
+    for table, width in ((left, hi), (low_sums, lo)):
         for b in range(width):
-            pairs = table.reshape(-1, 2, per_state << b)
+            pairs = table.reshape(-1, 2, table.shape[1] << b)
             pairs[:, 1] += pairs[:, 0]
-    right[-1] = 1.0
+    right = np.ones((len(highs) + 1, 1 << lo))  # [R ; 1], row-major for the product
+    right[:-1] = low_sums.T
     rows = min(max(1, _BLOCK_FLOATS >> lo), 1 << hi)
     blocks = [left[start : start + rows] for start in range(0, 1 << hi, rows)]
     buf = np.empty((rows, 1 << lo))
@@ -250,7 +251,7 @@ def simulated_anneal(
     initial state, then one uniform per flip proposal, in sweep-major, bit-
     ascending order, for every sweep that runs — so results are bit-
     reproducible and independent of how the reads are batched.  Reads are
-    annealed in chunks of ``_READ_CHUNK``, and the uniforms are drawn in
+    annealed in chunks of ``_READ_CHUNK``, and the uniforms are drawn into
     blocks of sweeps holding at most ``_UNIFORM_FLOATS`` per chunk, which
     leaves the stream unchanged.  Each read contributes its final state; one
     :func:`qubo_energy` call scores the distinct states, each with the
@@ -308,7 +309,7 @@ def simulated_anneal(
         for first in range(0, sweeps, block):
             span = min(block, sweeps - first)
             for r, rng in enumerate(rngs):
-                uniforms[r, :span] = rng.random((span, n))
+                rng.random(out=uniforms[r, :span])
             # a probability below `floor` accepts no uniform the chunk has left.
             # Only 0.0 is below math.ulp(0.0), the least positive float.  With
             # no 0.0 in the final block every uniform left is >= 2^-53, and

@@ -71,6 +71,55 @@ def reference_quadratize(pubo, penalty, aux):
     return q, tuple(pairs)
 
 
+def loop_penalty(pubo):
+    """choose_penalty's contract as a loop of additions in term order."""
+    total = 0.0
+    for coeff in pubo.coeffs.tolist():
+        total += abs(coeff)
+    return 1.0 + 2.0 * total
+
+
+def add_at_quadratize(pubo, penalty, aux):
+    """quadratize built with masked gathers and one unbuffered ``np.add.at``:
+    ``(matrix, aux_pairs, penalty)``."""
+    n_log = pubo.num_bits
+    rows = np.pad(pubo.rows, ((0, 0), (0, 4 - pubo.max_term_size)), constant_values=n_log)
+    sizes = np.count_nonzero(rows != n_log, axis=1)
+    aux_of = np.zeros((n_log + 1, n_log + 1), dtype=np.intp)
+    if aux == "all":
+        pairs = np.transpose(np.triu_indices(n_log, 1))
+    else:
+        substituted = np.concatenate([rows[sizes >= 3, :2], rows[sizes == 4, 2:]])
+        aux_of[substituted[:, 0], substituted[:, 1]] = 1
+        pairs = np.argwhere(aux_of)
+    a = n_log + np.arange(len(pairs))
+    aux_of[pairs[:, 0], pairs[:, 1]] = a
+    c_pen = (loop_penalty(pubo) if penalty is None else penalty) if len(pairs) else 0.0
+    left = np.where(sizes >= 3, aux_of[rows[:, 0], rows[:, 1]], rows[:, 0])
+    last = rows[np.arange(len(sizes)), sizes - 1]
+    right = np.where(sizes == 4, aux_of[rows[:, 2], rows[:, 3]], last)
+    i, j = pairs.T
+    cells = (
+        np.concatenate([np.minimum(left, right), np.stack([i, i, j, a], axis=1).ravel()]),
+        np.concatenate([np.maximum(left, right), np.stack([j, a, a, a], axis=1).ravel()]),
+    )
+    values = np.concatenate(
+        [pubo.coeffs, np.tile([c_pen, -2.0 * c_pen, -2.0 * c_pen, 3.0 * c_pen], len(pairs))]
+    )
+    q = np.zeros((n_log + len(pairs),) * 2)
+    np.add.at(q, cells, values)
+    return q, tuple(map(tuple, pairs.tolist())), c_pen
+
+
+def assert_plan_table_is_the_grouped_one(pubo):
+    """A compile_pubo output's half table equals the one grouped from its rows."""
+    grouped = PseudoBooleanPolynomial(pubo.rows, pubo.coeffs, pubo.offset, pubo.num_bits)
+    assert "_plan_halves" in vars(pubo) and "_plan_halves" not in vars(grouped)
+    for mine, theirs in zip(pubo._half_table, grouped._half_table):
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        assert mine.tobytes() == theirs.tobytes()
+
+
 def reference_sparsify(raw, num_bits):
     """sparsify's contract as a dictionary loop: ``(terms, offset)``."""
     terms, offset = defaultdict(float), 0.0
@@ -332,6 +381,44 @@ class TestIndexPlan:
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
             assert a.offset == b.offset
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.sampled_from([1, 2]),
+        num_eq=st.integers(1, 3),
+        num_vars=st.integers(1, 3),
+        bits=st.integers(1, 4),
+        pattern=st.sampled_from(["dense", "sparse", "zero top order"]),
+    )
+    def test_plan_half_table_is_the_grouped_one(self, seed, degree, num_eq, num_vars, bits,
+                                               pattern):
+        rng = np.random.default_rng(seed)
+        coeffs = list(random_system(rng, num_eq, num_vars, degree).coeffs)
+        if pattern == "sparse":
+            coeffs = [c * (rng.random(c.shape) < 0.3) for c in coeffs]
+        elif pattern == "zero top order":  # a linear PUBO, or at degree 1 an empty one
+            coeffs[-1] = np.zeros_like(coeffs[-1])
+        pubo = compile_pubo(PolynomialSystem(coeffs), random_encoding(rng, num_vars, bits))
+        quadratize(pubo)
+        # compiling and quadratizing never evaluate, so build no table
+        assert "_half_table" not in vars(pubo)
+        assert_plan_table_is_the_grouped_one(pubo)
+
+    @pytest.mark.parametrize("coeffs, bits, width", [
+        # x0 + x1 and x0 - x1 at one bit each: the cross terms cancel exactly
+        ([np.zeros(2), np.array([[1.0, 1.0], [1.0, -1.0]])], 1, 1),
+        # x^T A x = 0 for antisymmetric A: no quadratic contribution is left
+        ([np.ones(1), np.array([[2.0, -1.0]]), np.array([[[0.0, 3.0], [-3.0, 0.0]]])], 3, 2),
+        ([np.ones(1), np.zeros((1, 2)), np.zeros((1, 2, 2))], 3, 0),
+    ])
+    def test_plan_half_table_of_cancelled_terms(self, coeffs, bits, width):
+        pubo = compile_pubo(PolynomialSystem(coeffs), from_range(-1.0, 2.0, bits, num_vars=2))
+        assert pubo.rows.shape[1] == width  # narrower than the plan's unions
+        assert_plan_table_is_the_grouped_one(pubo)
+        states = all_bitstrings(pubo.num_bits)
+        np.testing.assert_allclose(pubo_energy(pubo, states), naive_energy(pubo, states),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_plan_arrays_are_compact_and_read_only(self):
         rng = np.random.default_rng(3)
         compile_pubo(random_system(rng, 4, 4, 2), random_encoding(rng, 4, 5))
@@ -344,6 +431,13 @@ class TestIndexPlan:
 
 
 class TestChoosePenalty:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1.7e308, 1.7e308).filter(bool), max_size=60))
+    def test_equals_the_term_order_loop(self, coeffs):
+        # magnitudes from subnormal to near overflow, so order and overflow show
+        pubo = sparsify({(k,): c for k, c in enumerate(coeffs)}, num_bits=len(coeffs))
+        assert choose_penalty(pubo).hex() == loop_penalty(pubo).hex()
+
     def test_formula(self):
         pubo = sparsify({(0,): 4.0, (0, 1): -6.0}, num_bits=2)
         assert choose_penalty(pubo) == 21.0
@@ -470,6 +564,25 @@ class TestQuadratize:
         c_pen = choose_penalty(pubo) if penalty is None else penalty
         assert qm.penalty == (c_pen if pairs else 0.0)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bits=st.integers(4, 9),
+        sizes=st.lists(st.integers(1, 4), max_size=40),
+        aux=st.sampled_from(["lazy", "all"]),
+        penalty=st.sampled_from([None, 0.3, 1e3]),
+    )
+    def test_matrix_matches_add_at_build(self, seed, num_bits, sizes, aux, penalty):
+        rng = np.random.default_rng(seed)
+        raw = [(tuple(rng.choice(num_bits, size=k, replace=False).tolist()),
+                float(rng.standard_normal() * 10.0 ** rng.integers(-8, 9))) for k in sizes]
+        pubo = sparsify(raw, num_bits=num_bits)
+        qm = quadratize(pubo, penalty=penalty, aux=aux)
+        matrix, pairs, c_pen = add_at_quadratize(pubo, penalty, aux)
+        assert qm.matrix.tobytes() == matrix.tobytes()
+        assert qm.aux_pairs == pairs
+        assert qm.penalty.hex() == float(c_pen).hex()
+
     @pytest.mark.parametrize("aux", ["lazy", "all"])
     def test_planted_matrix_matches_reference_loop(self, aux):
         rng = np.random.default_rng(7)
@@ -479,6 +592,8 @@ class TestQuadratize:
             matrix, pairs = reference_quadratize(pubo, None, aux)
             assert qm.matrix.tobytes() == matrix.tobytes()
             assert qm.aux_pairs == pairs
+            matrix, _, c_pen = add_at_quadratize(pubo, None, aux)
+            assert qm.matrix.tobytes() == matrix.tobytes() and qm.penalty == c_pen
 
     def test_oversized_term_rejected(self):
         pubo = sparsify({(0, 1, 2, 3, 4): 1.0}, num_bits=5)

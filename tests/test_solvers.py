@@ -477,9 +477,9 @@ class TestSimulatedAnneal:
                 return rng
             drawn = [0]  # sweeps drawn so far
 
-            def random(shape):
-                uniforms = rng.random(shape)
-                drawn[0] += shape[0]
+            def random(shape=None, out=None):  # the annealer passes out=, the reference a shape
+                uniforms = rng.random(shape, out=out)
+                drawn[0] += len(uniforms)
                 if drawn[0] == args["sweeps"]:  # this block ends with the last sweep
                     uniforms[-1, 2] = 0.0
                 return uniforms
