@@ -68,6 +68,10 @@ class PseudoBooleanPolynomial:
     are read-only; the empty product lives in ``offset``.  The read-only
     view ``terms`` ({index tuple: coefficient}, in row order) is derived on
     first access.
+
+    Construction refuses a polynomial whose bound ``(|offset| + sum |c|) *
+    (terms + 1)`` is not finite: below it, no energy, partial sum or
+    :func:`choose_penalty` can overflow, whatever the summation order.
     """
 
     rows: np.ndarray
@@ -80,13 +84,18 @@ class PseudoBooleanPolynomial:
             array = np.array(getattr(self, name), dtype=dtype)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        bad = ~np.isfinite(self.coeffs)
-        if bad.any():
-            first = int(np.argmax(bad))
-            term = list(self.terms)[first]
-            raise ValueError(f"term {term} has non-finite coefficient {self.coeffs[first]!r}")
-        if not np.isfinite(self.offset):
-            raise ValueError(f"offset {self.offset!r} is not finite")
+        with np.errstate(over="ignore"):  # an infinite bound is refused by name
+            total = float(np.abs(self.coeffs).sum())
+        bound = (abs(self.offset) + total) * (len(self.coeffs) + 1)
+        if not math.isfinite(bound):
+            bad = ~np.isfinite(self.coeffs)
+            if bad.any():
+                first = int(np.argmax(bad))
+                term = list(self.terms)[first]
+                raise ValueError(f"term {term} has non-finite coefficient {self.coeffs[first]!r}")
+            if not np.isfinite(self.offset):
+                raise ValueError(f"offset {self.offset!r} is not finite")
+            raise _overflow(bound)
 
     @cached_property
     def terms(self) -> Mapping[tuple[int, ...], float]:
@@ -133,6 +142,10 @@ class QuboMatrix:
         aux_pairs: ordered logical pairs, one per auxiliary bit (aux k
             represents the product of pair ``aux_pairs[k]``).
         penalty: consistency weight C used for the auxiliary constraints.
+
+    As for a PUBO, ``(|offset| + sum |entries|) * (terms + 1)`` must be
+    finite; every one of the T(T+1)/2 upper cells counts as a term, so the
+    PUBO view passes too, and no field or Δ of the annealer overflows.
     """
 
     matrix: np.ndarray
@@ -145,25 +158,41 @@ class QuboMatrix:
         matrix, num_logical = np.array(self.matrix, dtype=float), int(self.num_logical)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            i, j = np.argwhere(~np.isfinite(matrix))[0]
-            raise ValueError(f"matrix entry ({i}, {j}) is {matrix[i, j]!r}, not finite")
         offset, penalty = float(self.offset), float(self.penalty)
-        if not (np.isfinite(offset) and np.isfinite(penalty)):
+        # |entries| summed over row 0, then over each later row r split at
+        # column r: its strict lower part, then the rest
+        n, magnitudes = len(matrix), np.abs(matrix).ravel()
+        rows = np.arange(1, n)
+        cuts = np.stack([n * rows, n * rows + rows], axis=1).ravel()
+        with np.errstate(over="ignore"):  # an infinite bound is refused by name
+            parts = np.add.reduceat(magnitudes, cuts)
+            total = float(magnitudes[:n].sum() + parts.sum())
+        bound = (abs(offset) + total) * (n * (n + 1) // 2 + 1)  # every upper cell a term
+        if not math.isfinite(bound):
+            if not np.all(np.isfinite(matrix)):
+                i, j = np.argwhere(~np.isfinite(matrix))[0]
+                raise ValueError(f"matrix entry ({i}, {j}) is {matrix[i, j]!r}, not finite")
+            if math.isfinite(offset):
+                raise _overflow(bound)
+        if not (math.isfinite(offset) and math.isfinite(penalty)):
             raise ValueError(f"offset {offset!r} and penalty {penalty!r} must be finite")
-        if np.any(np.tril(matrix, -1) != 0):
+        if parts[::2].any():
             raise ValueError("matrix must be upper triangular")
-        aux_pairs = tuple(tuple(p) for p in self.aux_pairs)
-        if matrix.shape[0] != num_logical + len(aux_pairs):
+        pairs = np.asarray(self.aux_pairs, dtype=np.intp).reshape(len(self.aux_pairs), 2)
+        if n != num_logical + len(pairs):
             raise ValueError(
-                f"matrix is {matrix.shape[0]}x{matrix.shape[0]} but "
-                f"{num_logical} logical + {len(aux_pairs)} aux bits were declared"
+                f"matrix is {n}x{n} but "
+                f"{num_logical} logical + {len(pairs)} aux bits were declared"
             )
-        if len(set(aux_pairs)) != len(aux_pairs):
+        i, j = pairs.T
+        bad = ~((0 <= i) & (i < j) & (j < num_logical))
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ValueError(f"aux pair ({i[first]}, {j[first]}) is not an ordered logical pair")
+        keys = np.sort(i * num_logical + j)  # one key per ordered logical pair
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("aux_pairs contains duplicates")
-        for i, j in aux_pairs:
-            if not (0 <= i < j < num_logical):
-                raise ValueError(f"aux pair ({i}, {j}) is not an ordered logical pair")
+        aux_pairs = tuple(zip(i.tolist(), j.tolist()))
         matrix.flags.writeable = False
         for f, value in zip(fields(self), (matrix, offset, num_logical, aux_pairs, penalty)):
             object.__setattr__(self, f.name, value)
@@ -213,6 +242,13 @@ class QuboMatrix:
             f"QuboMatrix(logical={self.num_logical}, aux={self.num_aux}, "
             f"penalty={self.penalty:g}, offset={self.offset:g})"
         )
+
+
+def _overflow(bound: float) -> ValueError:
+    return ValueError(
+        f"energies can overflow: their bound (|offset| + sum |c|) * (terms + 1) = {bound!r} "
+        "is not finite"
+    )
 
 
 _BLOCK_FLOATS = 1 << 15  # size of per-block temporaries in compile_pubo and pubo_energy
@@ -295,6 +331,7 @@ def _collect(sets: np.ndarray, totals: np.ndarray, num_bits: int) -> PseudoBoole
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the PUBO refuses a non-finite term by name
 def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPolynomial:
     """Expand the residual sum of squares of ``system`` in the bit basis.
 
@@ -401,8 +438,7 @@ def choose_penalty(pubo: PseudoBooleanPolynomial) -> float:
     sequential ``np.cumsum``, as a loop of additions.  Breaking one constraint
     costs at least C, while no energy decrease in the objective reaches C.
     """
-    with np.errstate(over="ignore"):  # quadratize refuses an infinite C by name
-        return 1.0 + 2.0 * float(np.cumsum(np.abs(pubo.coeffs))[-1:].sum())
+    return 1.0 + 2.0 * float(np.cumsum(np.abs(pubo.coeffs))[-1:].sum())
 
 
 def quadratize(
@@ -457,8 +493,6 @@ def quadratize(
     aux_of = np.zeros(side * side, dtype=np.intp)
     aux_of[i * side + j] = a
     c_pen = (choose_penalty(pubo) if penalty is None else float(penalty)) if num_aux else 0.0
-    if not math.isfinite(c_pen):
-        raise ValueError(f"chosen penalty {c_pen!r} is not finite; pass a finite penalty=")
     # each term is a product of two factors: bits, or auxiliaries for pairs
     left = np.where(sizes >= 3, aux_of.take(first), rows[:, 0])
     last = rows.ravel().take(4 * np.arange(len(sizes)) + sizes - 1)
@@ -475,8 +509,7 @@ def quadratize(
     ])
     # bincount adds every cell's contributions in sequence, as a loop would
     q = np.bincount(cells, values, minlength=size * size).reshape(size, size)
-    aux_pairs = np.stack([i, j], axis=1).tolist()
-    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=aux_pairs, penalty=c_pen)
+    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=np.stack([i, j], axis=1), penalty=c_pen)
 
 
 def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatrix:

@@ -20,14 +20,15 @@ of squares.
   leaves the others' fields unchanged, so the samples are exactly those of
   one step per bit, with far fewer numpy calls on quadratized objectives,
   whose auxiliaries rarely couple to their neighbours.  A read chunk stops
-  after the first sweep that no uniform it has left can flip, if no later
-  sweep runs hotter: one in which every acceptance probability was 0.0, or,
-  in the final block of uniforms when that block holds no 0.0, below 2^-54
-  (numpy's uniforms are multiples of 2^-53, so such a probability accepts
-  only 0.0).  Nothing flipped, so the next sweep sees the same fields and
-  the same Δ > 0, and a temperature no higher keeps each probability below
-  any uniform left.  No later sweep could flip a bit, so the samples are
-  those of the full ladder.
+  after the first sweep in which every acceptance probability was below
+  2^-54, if no later sweep runs hotter and no uniform from that sweep on is
+  0.0.  numpy's uniforms are multiples of 2^-53, so such a probability
+  accepts none of them: nothing flipped, the next sweep sees the same fields
+  and the same Δ > 0, and a temperature no higher keeps each probability
+  below any uniform left.  No later sweep could flip a bit, so the samples
+  are those of the full ladder.  The uniforms are held in blocks of sweeps;
+  those of later blocks are drawn ahead only to look for a 0.0, and put back
+  if one turns up, so where a chunk stops does not depend on the blocks.
 * :func:`conjugate_gradient` — classical iterative reference for symmetric
   positive-definite linear systems.
 
@@ -37,7 +38,6 @@ and the one place that knows what each reports.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -66,7 +66,7 @@ __all__ = [
 
 _ENUMERATION_LIMIT = 24  # brute_force enumerates objectives of at most this many bits
 _READ_CHUNK = 512  # reads annealed together as one batch of states
-_UNIFORM_FLOATS = 1 << 20  # uniforms held per read chunk, drawn in blocks of sweeps
+_UNIFORM_FLOATS = 1 << 18  # uniforms held per read chunk, drawn in blocks of sweeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +238,26 @@ def _run_fields(states: np.ndarray, columns: np.ndarray, run: int | slice) -> np
     return np.matmul(states, columns[run, :, None])[..., 0].T
 
 
+def _no_zero_ahead(rngs: list[np.random.Generator], count: int) -> bool:
+    """Whether no generator's next ``count`` uniforms (count >= 1) is 0.0.
+
+    Each generator draws them into one scratch buffer of at most
+    ``_UNIFORM_FLOATS``.  If a 0.0 turns up, every generator drawn from is put
+    back to the ``bit_generator.state`` it had, so its stream goes on as if
+    nothing was drawn; otherwise the draws stand, and the caller reads no more.
+    """
+    scratch = np.empty(min(count, _UNIFORM_FLOATS))
+    saved = []
+    for rng in rngs:
+        saved.append(rng.bit_generator.state)
+        for done in range(0, count, len(scratch)):
+            if not rng.random(out=scratch[: count - done]).all():
+                for put_back, state in zip(rngs, saved):
+                    put_back.bit_generator.state = state
+                return False
+    return True
+
+
 def simulated_anneal(
     qm: QuboMatrix,
     reads: int = 1000,
@@ -258,20 +278,20 @@ def simulated_anneal(
     energy it has alone.
 
     A chunk stops after sweep s if every step of s gave every read an
-    acceptance probability ``p = exp(min(-Δ/t, 0))`` below a floor and no
-    later temperature exceeds ``t``.  The floor is 2^-54 in the chunk's
-    final block of uniforms if that block holds no 0.0 (one scan per
-    chunk), and otherwise the least positive float, so that only p = 0.0
-    is below it.  This is exact: ``Generator.random`` returns multiples of
-    2^-53, so a uniform that is not 0.0 is at least 2^-53, and a uniform in
-    [0, 1) is never below 0.0; so s flipped nothing.  The next sweep's
-    fields then come from the same gemvs over the same states and have the
-    same bits, as has each Δ, which is > 0; and for ``t' <= t``,
-    ``-Δ/t' <= -Δ/t``, so a p that underflowed to 0.0 stays 0.0, and one
-    below 2^-54 stays below 2^-53, a factor of two that covers the rounding
-    of ``exp``.  By induction no later sweep flips a bit, and the uniforms
-    it would read are never used.
-    A NaN probability is not below the floor, so it never stops a chunk.
+    acceptance probability ``p = exp(min(-Δ/t, 0))`` below 2^-54, no later
+    temperature exceeds ``t``, and no uniform of s or of a later sweep is
+    0.0.  This is exact: ``Generator.random`` returns multiples of 2^-53, so
+    each of those uniforms is at least 2^-53, and s flipped nothing.  The
+    next sweep's fields then come from the same gemvs over the same states
+    and have the same bits, as has each Δ, which is > 0; and for ``t' <= t``,
+    ``-Δ/t' <= -Δ/t``, so a p below 2^-54 stays below 2^-53, a factor of two
+    that covers the rounding of ``exp``.  By induction no later sweep flips a
+    bit, and the uniforms it would read are never used.  The uniforms left in
+    the current block are scanned in place.  Those of later blocks are drawn
+    ahead, read by read, into a scratch buffer of at most ``_UNIFORM_FLOATS``
+    (see :func:`_no_zero_ahead`); if one is 0.0, every generator goes back to
+    its saved state and the chunk goes on.  So the sweeps run, like the
+    samples, do not depend on how the uniforms are split into blocks.
 
     The bits split once into maximal runs of consecutive bits with zero
     coupling among them, and each sweep makes one vectorised Metropolis step
@@ -308,27 +328,28 @@ def simulated_anneal(
         uniforms = np.empty((size, min(block, sweeps), n))
         for first in range(0, sweeps, block):
             span = min(block, sweeps - first)
+            ahead = (sweeps - first - span) * n  # each read's uniforms in later blocks
             for r, rng in enumerate(rngs):
                 rng.random(out=uniforms[r, :span])
-            # a probability below `floor` accepts no uniform the chunk has left.
-            # Only 0.0 is below math.ulp(0.0), the least positive float.  With
-            # no 0.0 in the final block every uniform left is >= 2^-53, and
-            # 2^-54 leaves a factor of two for the rounding of exp
-            floor = math.ulp(0.0)
-            if first + span == sweeps and uniforms[:, :span].all():
-                floor = 2.0**-54
             for s in range(span):
                 t = temps[first + s]
-                live = False  # some step of this sweep had a probability >= floor (or NaN)
+                live = False  # some step of this sweep had a probability >= 2^-54
                 for run in runs:
                     fields = _run_fields(states, columns, run)
                     col = states[:, run]
                     delta = (1.0 - 2.0 * col) * (diag[run] + fields)
                     prob = np.exp(np.minimum(-delta / t, 0.0))
-                    live = live or not (prob < floor).all()
+                    live = live or not (prob < 2.0**-54).all()
                     accept = uniforms[:, s, run] < prob
                     states[:, run] = np.where(accept, 1.0 - col, col)
-                frozen = not live and coolest[first + s]
+                # no uniform of this sweep or a later one is 0.0: this block's
+                # are scanned in place, later blocks' drawn ahead
+                frozen = (
+                    not live
+                    and coolest[first + s]
+                    and uniforms[:, s:span].all()
+                    and (not ahead or _no_zero_ahead(rngs, ahead))
+                )
                 if frozen:
                     break
             if frozen:

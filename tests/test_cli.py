@@ -268,6 +268,20 @@ class TestErrorPaths:
         assert "positive finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # refused by name, with no RuntimeWarning on the way
+    @pytest.mark.parametrize("backend", ["brute", "anneal"])
+    @pytest.mark.parametrize("coeff, message", [
+        (1e154, "term (0, 1) has non-finite coefficient"),  # 2 * 1e154^2 overflows
+        (5e153, "energies can overflow"),  # 2.5e307 + 5e307 + 2.5e307, times 3 + 1 terms
+    ])
+    def test_overflowing_objective_rejected(self, tmp_path, capsys, backend, coeff, message):
+        src, out = tmp_path / "huge.json", tmp_path / "report.json"
+        save_system(PolynomialSystem([[0.0], [[coeff, coeff]]]), src)
+        argv = ["solve-poly", src, "--lo", "0", "--hi", "1", "--bits", "1", "--backend", backend]
+        assert run(argv + ["--output", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--t-hot", "inf"), ("--t-hot", "nan"),
                                              ("--t-cold", "nan")])
     def test_non_finite_temperature_rejected(self, tmp_path, capsys, flag, value):

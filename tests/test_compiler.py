@@ -1,5 +1,6 @@
 """PUBO compilation, sparsification, quadratization, and the degree-1 entry point."""
 
+import math
 import tracemalloc
 from collections import defaultdict
 from itertools import combinations
@@ -203,6 +204,20 @@ class TestSparsify:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             sparsify({(5,): 1.0}, num_bits=4)
+
+    @pytest.mark.parametrize("terms", [
+        {(0,): 1e308, (1,): 1e308},  # the sum overflows
+        {(): 1e308, (0,): 1e308},  # with the offset
+        {(0,): 1e308, (0, 1): -1e-300},  # the margin for summation order
+    ])
+    def test_overflowing_energy_bound_rejected(self, terms):
+        with pytest.raises(ValueError, match=r"bound \(\|offset\| \+ sum \|c\|\) \* \(terms \+ 1\) = inf"):
+            sparsify(terms.items(), num_bits=2)
+
+    def test_finite_energy_bound_accepted(self):
+        pubo = sparsify({(0,): 2e307, (1,): -2e307}, num_bits=2)
+        assert brute_force(pubo).energy == -2e307
+        assert pubo_energy(pubo, [1, 1]) == 0.0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, value):
@@ -432,9 +447,10 @@ class TestIndexPlan:
 
 class TestChoosePenalty:
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(st.lists(st.floats(-1.7e308, 1.7e308).filter(bool), max_size=60))
+    @given(st.lists(st.floats(-4e304, 4e304).filter(bool), max_size=60))
     def test_equals_the_term_order_loop(self, coeffs):
-        # magnitudes from subnormal to near overflow, so order and overflow show
+        # magnitudes from subnormal to the largest that 60 terms may have
+        # (60 * 61 * 4e304 < 1.8e308, the energy bound), so order shows
         pubo = sparsify({(k,): c for k, c in enumerate(coeffs)}, num_bits=len(coeffs))
         assert choose_penalty(pubo).hex() == loop_penalty(pubo).hex()
 
@@ -625,10 +641,13 @@ class TestQuadratize:
         with pytest.raises(ValueError, match="penalty .* must be a positive finite number"):
             quadratize(sparsify(terms, num_bits=3), penalty=value)
 
-    def test_overflowing_chosen_penalty_named(self):
-        # 1 + 2 * 1e308 overflows; the error names the penalty, not a matrix entry
-        with pytest.raises(ValueError, match="chosen penalty inf is not finite.*penalty="):
-            quadratize(sparsify({(0, 1, 2): 1e308}, num_bits=3))
+    def test_overflowing_qubo_refused_by_its_bound(self):
+        # the PUBO's bound is finite, but C = 1 + 2e306 and the penalty
+        # entries 3C, -2C, -2C, C take the QUBO's past it
+        pubo = sparsify({(0, 1, 2): 1e306}, num_bits=3)
+        assert math.isfinite(choose_penalty(pubo))
+        with pytest.raises(ValueError, match=r"\(terms \+ 1\) = inf is not finite"):
+            quadratize(pubo)
 
     def test_penalty_not_chosen_without_aux(self, monkeypatch, quad_system):
         def refuse(pubo):
@@ -848,6 +867,43 @@ class TestQuboMatrixValidation:
         assert (qm.pubo.offset, qm.pubo.num_bits, qm.pubo.max_term_size) == (0.5, 3, 2)
         assert qm.pubo is qm.pubo
         assert QuboMatrix(np.diag([1.0, 0.0]), 0.0, 2).pubo.rows.tolist() == [[0]]
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            QuboMatrix(np.zeros((2, 3)), 0.0, 2)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_lower_triangle_rejected_wherever_it_is_nonzero(self, n):
+        for i, j in zip(*np.tril_indices(n, -1)):
+            matrix = np.triu(np.ones((n, n)))
+            matrix[i, j] = -1e-300
+            with pytest.raises(ValueError, match="upper triangular"):
+                QuboMatrix(matrix, 0.0, n)
+        assert QuboMatrix(np.triu(np.ones((n, n))), 0.0, n).num_bits == n
+
+    @pytest.mark.parametrize("pairs", [[(0, 1), (0, 1)], np.array([[0, 2], [0, 2]])])
+    def test_duplicate_aux_pairs_rejected(self, pairs):
+        with pytest.raises(ValueError, match="duplicates"):
+            QuboMatrix(np.zeros((5, 5)), 0.0, 3, aux_pairs=pairs)
+
+    @pytest.mark.parametrize("pair", [(1, 0), (-1, 1), (0, 3), (2, 2)])
+    def test_each_bad_aux_pair_named(self, pair):
+        with pytest.raises(ValueError, match=rf"aux pair \({pair[0]}, {pair[1]}\) is not"):
+            QuboMatrix(np.zeros((5, 5)), 0.0, 3, aux_pairs=[(0, 1), pair])
+
+    def test_aux_pairs_from_an_array_are_int_tuples(self):
+        qm = QuboMatrix(np.zeros((5, 5)), 0.0, 3, aux_pairs=np.array([[0, 2], [1, 2]]))
+        assert qm.aux_pairs == ((0, 2), (1, 2))
+        assert all(type(i) is int for pair in qm.aux_pairs for i in pair)
+
+    @pytest.mark.parametrize("matrix, offset", [
+        (np.diag([1e308, -1e308]), 0.0),  # the |entries| sum overflows
+        (np.diag([1e308, 0.0]), -1e308),  # with the offset
+        (np.diag([5e307, 0.0]), 0.0),  # the margin: 3 upper cells + 1
+    ])
+    def test_overflowing_energy_bound_rejected(self, matrix, offset):
+        with pytest.raises(ValueError, match=r"bound .* = inf is not finite"):
+            QuboMatrix(matrix, offset, 2)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, value):

@@ -453,70 +453,107 @@ class TestSimulatedAnneal:
         assert sample_key(samples) == sample_key(reference_anneal(qm, **args))
         assert steps == 20 * self.num_runs(qm)
 
-    @pytest.mark.parametrize("uniform_floats, frozen_sweeps", [(solvers._UNIFORM_FLOATS, 2), (1, 8)])
+    @pytest.mark.parametrize("uniform_floats", [solvers._UNIFORM_FLOATS, 1])
+    @pytest.mark.parametrize("zero_sweep, sweeps_run", [(7, 8), (4, 7)])
     def test_zero_uniform_in_the_final_block_keeps_the_chunk_running(
-        self, monkeypatch, uniform_floats, frozen_sweeps
+        self, monkeypatch, uniform_floats, zero_sweep, sweeps_run
     ):
         # at t = 1/40 a bit at 0 accepts with p = exp(-40) < 2^-54, so after
         # the first sweep only a uniform of exactly 0.0 can flip one.  In
-        # blocks of one sweep only the last sweep is in the final block, and
-        # the sweeps before it stop only where every probability is 0.0
+        # blocks of one sweep, the uniforms of every later sweep are drawn
+        # ahead to look for it, and put back
         qm = QuboMatrix(np.eye(3), 0.0, 3)
         ladder = lambda self, qm, sweeps: np.full(sweeps, 1 / 40)  # noqa: E731
         monkeypatch.setattr(AnnealSchedule, "temperatures", ladder)
         monkeypatch.setattr(solvers, "_UNIFORM_FLOATS", uniform_floats)
         args = dict(reads=4, sweeps=8, seed=0)
         _, steps = self.count_steps(qm, **args)
-        assert steps == frozen_sweeps * self.num_runs(qm)
+        assert steps == 2 * self.num_runs(qm)
 
         default_rng = np.random.default_rng
+        stream = args["sweeps"] * qm.num_bits  # the uniforms a read draws in the reference
+        # the last read draws 0.0 for bit 2 in sweep zero_sweep, so a look-ahead
+        # draws every other read's stream first, and must put all of them back
+        zero_at = {args["reads"] - 1: zero_sweep * qm.num_bits + 2}
 
-        def zero_in_last_sweep(seed):  # read 0 draws 0.0 for bit 2 in its last sweep
+        def zero_in_one_sweep(seed):
             rng = default_rng(seed)
-            if seed:
-                return rng
-            drawn = [0]  # sweeps drawn so far
+            drawn = [0]  # uniforms drawn so far
+
+            class BitGenerator:  # its state holds the count, so putting it back rewinds it
+                @property
+                def state(self):
+                    return rng.bit_generator.state, drawn[0]
+
+                @state.setter
+                def state(self, value):
+                    rng.bit_generator.state, drawn[0] = value
 
             def random(shape=None, out=None):  # the annealer passes out=, the reference a shape
                 uniforms = rng.random(shape, out=out)
-                drawn[0] += len(uniforms)
-                if drawn[0] == args["sweeps"]:  # this block ends with the last sweep
-                    uniforms[-1, 2] = 0.0
+                at = zero_at.get(seed, -1) - drawn[0]
+                if 0 <= at < uniforms.size:
+                    uniforms.flat[at] = 0.0
+                drawn[0] += uniforms.size
+                assert drawn[0] <= stream, f"read {seed} drew past its stream"
                 return uniforms
 
-            return SimpleNamespace(integers=rng.integers, random=random)
+            return SimpleNamespace(integers=rng.integers, random=random, bit_generator=BitGenerator())
 
-        monkeypatch.setattr(np.random, "default_rng", zero_in_last_sweep)
+        monkeypatch.setattr(np.random, "default_rng", zero_in_one_sweep)
         samples, steps = self.count_steps(qm, **args)
         assert sample_key(samples) == sample_key(reference_anneal(qm, **args))
-        assert steps == 8 * self.num_runs(qm)
-        assert (0, 0, 1) in [record.bits for record in samples.records]
+        assert steps == sweeps_run * self.num_runs(qm)
+        # flipped in the last sweep, the bit stays up; earlier, the next sweep drops it
+        assert ((0, 0, 1) in [record.bits for record in samples.records]) == (zero_sweep == 7)
 
-    def test_nan_probabilities_run_every_step(self):
+    def test_overflowing_couplings_are_refused(self):
         # couplings of 1e308 whose sign alternates with the index: summed in
-        # SIMD lanes, each field meets +inf and -inf and is NaN, so every
-        # probability is NaN, no bit flips, and no sweep counts as frozen
-        n, reads = 32, 8
+        # SIMD lanes, an annealer's field would meet +inf and -inf and be NaN.
+        # Such a QUBO is refused when built, so no probability is ever NaN
+        n = 32
         signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
-        qm = QuboMatrix(np.triu(1e308 * signs, 1), 0.0, n)
-        coupling = qm.matrix + qm.matrix.T
-        states = np.array([np.random.default_rng(r).integers(0, 2, n) for r in range(reads)])
-        args = dict(reads=reads, sweeps=10, seed=0, schedule=AnnealSchedule(1.0, 0.5))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for v in range(n):
-                assert np.isnan(solvers._run_fields(states * 1.0, coupling.T, v)).all()
-            samples, steps = self.count_steps(qm, **args)
-            reference = reference_anneal(qm, **args)
-        assert steps == 10 * self.num_runs(qm)
-        # NaN energies compare unequal, so compare the states and their counts
-        records = [sorted((r.bits, r.count) for r in s.records) for s in (samples, reference)]
-        assert records[0] == records[1]
+        with pytest.raises(ValueError, match=r"\(terms \+ 1\) = inf is not finite"):
+            QuboMatrix(np.triu(1e308 * signs, 1), 0.0, n)
 
     def test_uniforms_are_multiples_of_2_to_the_minus_53(self):
         # the stop rule's floor rests on this: a uniform other than 0.0 is >= 2^-53
         for seed in (0, 1, 12345):
             scaled = np.random.default_rng(seed).random(10**5) * 2.0**53
             assert np.array_equal(scaled, np.floor(scaled))
+
+    def test_uniform_blocks_change_no_sample_and_no_step(self, poly_qubos, monkeypatch):
+        # blocks of 1, 7 and all 60 sweeps; with one uniform held, the ones
+        # ahead are drawn one at a time.  The stop looks past the block for a
+        # 0.0, so where a chunk stops does not depend on the blocks either
+        args = dict(reads=16, sweeps=60, seed=3)
+        for qm in poly_qubos:
+            sweep = args["reads"] * qm.num_bits
+            runs = set()
+            for uniform_floats in (1, sweep, 7 * sweep, solvers._UNIFORM_FLOATS):
+                monkeypatch.setattr(solvers, "_UNIFORM_FLOATS", uniform_floats)
+                samples, steps = self.count_steps(qm, **args)
+                runs.add((sample_key(samples), steps))
+            (key, steps), = runs
+            assert key == sample_key(reference_anneal(qm, **args))
+            assert steps < args["sweeps"] * self.num_runs(qm)
+
+    def test_uniform_buffer_memory_bounded(self):
+        # all 500 sweeps of a 512-read chunk of 48 bits would hold 98 MB of
+        # uniforms; the chunk holds one block, and one read's look-ahead
+        # scratch, of at most _UNIFORM_FLOATS each, plus the states
+        p1 = make_conditioned_matrix(ConditionedSpec(24, 1.1, seed=0))
+        qm = compile_linear_qubo(PolynomialSystem([make_rhs(24), p1]), from_range(-1.0, 1.0, 2, 24))
+        reads = 512
+        tracemalloc.start()
+        try:
+            simulated_anneal(qm, reads=reads, sweeps=500, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        states = reads * (qm.num_bits * 8 + 1000)  # each read's bits and saved generator state
+        margin = 1e6  # generators, fields, records and the tally
+        assert peak < 2 * solvers._UNIFORM_FLOATS * 8 + states + margin, f"peak {peak / 1e6:.2f} MB"
 
     def test_uniform_blocks_keep_the_stream(self, quad_qubo, monkeypatch):
         # blocks of one sweep draw the same uniforms as one block of all sweeps
