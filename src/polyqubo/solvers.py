@@ -8,9 +8,12 @@ of squares.
   truth for objectives of at most ``_ENUMERATION_LIMIT`` = 24 bits.  A QUBO
   is enumerated as its PUBO view.  Each term is a bit mask split into a low
   and a high half; each block of high-half states is scored against every
-  low-half state by one matrix product, offset left out, and only blocks
-  that tie the least block minimum are scored again.  The winner is the
-  lowest state integer among the exact ties, counted in ``num_ground``.
+  low-half state by one matrix product, offset left out.  The blocks are
+  scored in ascending order of a lower bound on their energies, rounding
+  included, until one's bound exceeds the least minimum so far; the blocks
+  left hold no state that ties it.  Only the blocks that tie the least
+  minimum are scored again.  The winner is the lowest state integer among
+  the exact ties, counted in ``num_ground``.
 * :func:`simulated_anneal` — single-flip Metropolis annealing, the software
   stand-in for annealing hardware.  Reads are independent trajectories with
   per-read generators seeded ``seed + read_index``, so chunked, parallel,
@@ -87,6 +90,27 @@ def check_enumerable(num_bits: int) -> None:
         )
 
 
+def _block_bounds(left: np.ndarray, low_sums: np.ndarray, rows: int) -> np.ndarray:
+    """A lower bound on every energy, less the offset, that each block scores.
+
+    Row h of ``[C | e_hi] @ [R ; 1]`` sums K terms, ``C[h, k] * R[k, l]``
+    and ``e_hi[h]``; C is 0/1, so each is at least ``m_k = min_l R[k, l]``
+    and their sum at least ``C[h] @ m + e_hi[h]``.  Summed in any order,
+    the product and this bound each round by at most ``K eps`` (``eps`` =
+    2^-52) times the sum of the terms' magnitudes, at most ``S[h] = C[h] @
+    max_l |R[k, l]| + |e_hi[h]|``.  A margin of ``4 (K + 1) eps S[h]`` comes
+    off the bound, which covers both and the rounding of the margin itself.
+    A block's bound is the least of its rows'.
+    """
+    least, most = low_sums.min(axis=0), low_sums.max(axis=0)
+    weights = np.zeros((left.shape[1], 2))
+    weights[:, 0] = np.r_[least, 1.0]
+    weights[:-1, 1] = np.maximum(most, -least)
+    sums = left @ weights
+    margin = 4 * (left.shape[1] + 1) * np.finfo(float).eps * (sums[:, 1] + np.abs(left[:, -1]))
+    return np.minimum.reduceat(sums[:, 0] - margin, np.arange(0, len(left), rows))
+
+
 def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceResult:
     """Exact search over every bitstring of a PUBO or QUBO objective.
 
@@ -102,8 +126,14 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
 
         [C[block] | e_hi[block]] @ [R ; 1]
 
-    into a reused buffer, and only its minimum is kept.  The blocks that tie
-    the least minimum are scored again: the first holds the winner, the
+    into a reused buffer, and only its minimum is kept.  Blocks are scored
+    in ascending order of :func:`_block_bounds`, which lies below every
+    value the product gives in the block, and scoring stops at the first
+    block whose bound exceeds the least minimum so far: that block and the
+    ones after it hold no state below or equal to it, so no tie.  A block
+    whose bound equals it is scored.  An objective of at most 15 bits is one
+    block and needs no bound.  The blocks that tie the least minimum are
+    scored again, in ascending order: the first holds the winner, the
     lowest state integer (bit i of the integer is bit i of the string), and
     ``num_ground`` counts their states that tie it exactly.  The offset stays
     out of the product, so where the coefficients sum exactly (integers, say)
@@ -140,7 +170,15 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
     def score(block: np.ndarray) -> np.ndarray:  # the block's energies less the offset
         return np.matmul(block, right, out=buf[: len(block)]).ravel()
 
-    minima = np.array([score(block).min() for block in blocks])
+    # best first: a block whose bound exceeds the least minimum so far holds
+    # no state that ties it, nor do the blocks after it
+    bounds = _block_bounds(left, low_sums, rows) if len(blocks) > 1 else np.full(1, -np.inf)
+    minima, least = np.full(len(blocks), np.inf), np.inf
+    for b in np.argsort(bounds, kind="stable"):
+        if bounds[b] > least:
+            break
+        minima[b] = score(blocks[b]).min()
+        least = min(least, minima[b])
     best_state, num_ground = 0, 0
     for b in np.flatnonzero(minima == minima.min()):
         ties = score(blocks[b]) == minima[b]
@@ -301,6 +339,9 @@ def simulated_anneal(
     :func:`_run_fields`), so every flip decision and every random draw is
     the one a step per bit would make.  A run of one bit steps on 1-d
     arrays, as a step per bit does.
+
+    Overflow is ignored for the whole call: a subnormal ``t`` can overflow
+    ``-Δ/t`` to ±inf, and the probability that gives, 0 or 1, is the exact one.
     """
     if reads < 1 or sweeps < 1:
         raise ValueError(f"reads and sweeps must be >= 1, got {reads}, {sweeps}")
@@ -318,43 +359,44 @@ def simulated_anneal(
     coolest = temps >= np.append(np.maximum.accumulate(temps[::-1])[-2::-1], -np.inf)
 
     tally: Counter[bytes] = Counter()  # packed final states, in first-seen order
-    for start in range(0, reads, _READ_CHUNK):
-        size = min(_READ_CHUNK, reads - start)
-        rngs = [np.random.default_rng(seed + start + r) for r in range(size)]
-        states = np.empty((size, n))
-        for r, rng in enumerate(rngs):
-            states[r] = rng.integers(0, 2, size=n)
-        block = max(1, _UNIFORM_FLOATS // max(1, size * n))
-        uniforms = np.empty((size, min(block, sweeps), n))
-        for first in range(0, sweeps, block):
-            span = min(block, sweeps - first)
-            ahead = (sweeps - first - span) * n  # each read's uniforms in later blocks
+    with np.errstate(over="ignore"):
+        for start in range(0, reads, _READ_CHUNK):
+            size = min(_READ_CHUNK, reads - start)
+            rngs = [np.random.default_rng(seed + start + r) for r in range(size)]
+            states = np.empty((size, n))
             for r, rng in enumerate(rngs):
-                rng.random(out=uniforms[r, :span])
-            for s in range(span):
-                t = temps[first + s]
-                live = False  # some step of this sweep had a probability >= 2^-54
-                for run in runs:
-                    fields = _run_fields(states, columns, run)
-                    col = states[:, run]
-                    delta = (1.0 - 2.0 * col) * (diag[run] + fields)
-                    prob = np.exp(np.minimum(-delta / t, 0.0))
-                    live = live or not (prob < 2.0**-54).all()
-                    accept = uniforms[:, s, run] < prob
-                    states[:, run] = np.where(accept, 1.0 - col, col)
-                # no uniform of this sweep or a later one is 0.0: this block's
-                # are scanned in place, later blocks' drawn ahead
-                frozen = (
-                    not live
-                    and coolest[first + s]
-                    and uniforms[:, s:span].all()
-                    and (not ahead or _no_zero_ahead(rngs, ahead))
-                )
+                states[r] = rng.integers(0, 2, size=n)
+            block = max(1, _UNIFORM_FLOATS // max(1, size * n))
+            uniforms = np.empty((size, min(block, sweeps), n))
+            for first in range(0, sweeps, block):
+                span = min(block, sweeps - first)
+                ahead = (sweeps - first - span) * n  # each read's uniforms in later blocks
+                for r, rng in enumerate(rngs):
+                    rng.random(out=uniforms[r, :span])
+                for s in range(span):
+                    t = temps[first + s]
+                    live = False  # some step of this sweep had a probability >= 2^-54
+                    for run in runs:
+                        fields = _run_fields(states, columns, run)
+                        col = states[:, run]
+                        delta = (1.0 - 2.0 * col) * (diag[run] + fields)
+                        prob = np.exp(np.minimum(-delta / t, 0.0))
+                        live = live or not (prob < 2.0**-54).all()
+                        accept = uniforms[:, s, run] < prob
+                        states[:, run] = np.where(accept, 1.0 - col, col)
+                    # no uniform of this sweep or a later one is 0.0: this block's
+                    # are scanned in place, later blocks' drawn ahead
+                    frozen = (
+                        not live
+                        and coolest[first + s]
+                        and uniforms[:, s:span].all()
+                        and (not ahead or _no_zero_ahead(rngs, ahead))
+                    )
+                    if frozen:
+                        break
                 if frozen:
                     break
-            if frozen:
-                break
-        tally.update(key.tobytes() for key in np.packbits(states.astype(np.uint8), axis=1))
+            tally.update(key.tobytes() for key in np.packbits(states.astype(np.uint8), axis=1))
 
     packed = np.frombuffer(b"".join(tally), np.uint8).reshape(len(tally), -1)
     finals = np.unpackbits(packed, axis=1, count=n)

@@ -292,6 +292,12 @@ class TestErrorPaths:
         assert "temperature ladder" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # -Δ/t overflows to ±inf, with no RuntimeWarning
+    def test_subnormal_cold_temperature_runs(self, tmp_path):
+        argv = ["solve-linear", LINEAR, "--bits", "2", "--backend", "anneal", "--reads", "4",
+                "--sweeps", "5", "--t-hot", "1", "--t-cold", "1e-310"]
+        assert run(argv + ["--output", tmp_path / "report.json"]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--kind", "condition", "--kappas", "inf", "--backend", "brute"],
         ["iterate", "--kappa", "nan", "--backend", "brute"],

@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 import warnings
-from itertools import combinations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 from unittest import mock
 
@@ -72,6 +72,36 @@ def reference_anneal(qm, reads, sweeps, seed, schedule=None, read_chunk=512):
 def high_rows_per_block(monkeypatch, num_bits, rows):
     """Make brute_force on ``num_bits`` bits take ``rows`` high-half rows per block."""
     monkeypatch.setattr(solvers, "_BLOCK_FLOATS", rows << (num_bits // 2))
+
+
+def golden_round(seed, rounds):
+    """A 20-bit round of the refinement loop: a 4x4 system (kappa 1.1) on a
+    window around its solution, refined ``rounds`` times about the nearest
+    grid point."""
+    p1, p0 = make_conditioned_matrix(ConditionedSpec(4, 1.1, seed=seed)), make_rhs(4)
+    x = conjugate_gradient(p1, p0, tol=1e-10).solution
+    width = math.ceil(10.0 * float(np.max(np.abs(x)))) / 8.0
+    enc = from_range(-width, width, 5, num_vars=4)
+    for _ in range(rounds):
+        enc = refine(enc, decode(enc, nearest_bits(enc, x)))
+    return compile_linear_qubo(PolynomialSystem([p0, p1]), enc)
+
+
+def count_block_products(monkeypatch):
+    """Count the np.matmul calls that write into a buffer: brute_force's block products."""
+    calls, matmul = [], np.matmul
+
+    def spy(*args, **kwargs):
+        calls.append("out" in kwargs)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return lambda: sum(calls)
+
+
+def no_block_bounds(left, low_sums, rows):
+    """A bound of -inf on each block, in place of solvers._block_bounds: every block is scored."""
+    return np.full(-(-len(left) // rows), -np.inf)
 
 
 def conditioned_system(seed):
@@ -194,27 +224,113 @@ class TestBruteForce:
         np.testing.assert_array_equal(result.bits, [(13 >> i) & 1 for i in range(6)])
         assert result.energy == -1.0
 
-    @pytest.mark.parametrize("seed, rounds, bits, num_ground", [
+    GOLDEN_ROUNDS = [
         (0, 0, "00100001100010100111", 1),
         (1, 1, "10010010010111011101", 1),
         (2, 2, "10110000101000111001", 1),
         (3, 0, "00100001101100101011", 1),
         (4, 1, "11010011010010111010", 1),
-    ])
+    ]
+
+    @pytest.mark.parametrize("seed, rounds, bits, num_ground", GOLDEN_ROUNDS)
     def test_golden_refinement_rounds(self, seed, rounds, bits, num_ground):
-        # 20-bit rounds of the refinement loop: a 4x4 system (kappa 1.1) on a
-        # window around its solution, refined ``rounds`` times about the
-        # nearest grid point; energies are pubo_energy of the bits, so only
-        # the bits and the tie count are pinned
-        p1, p0 = make_conditioned_matrix(ConditionedSpec(4, 1.1, seed=seed)), make_rhs(4)
-        x = conjugate_gradient(p1, p0, tol=1e-10).solution
-        width = math.ceil(10.0 * float(np.max(np.abs(x)))) / 8.0
-        enc = from_range(-width, width, 5, num_vars=4)
-        for _ in range(rounds):
-            enc = refine(enc, decode(enc, nearest_bits(enc, x)))
-        result = brute_force(compile_linear_qubo(PolynomialSystem([p0, p1]), enc))
+        # energies are pubo_energy of the bits, so only the bits and the tie
+        # count are pinned
+        result = brute_force(golden_round(seed, rounds))
         assert "".join(map(str, result.bits)) == bits
         assert result.num_ground == num_ground
+
+    @pytest.mark.parametrize("seed, rounds", [case[:2] for case in GOLDEN_ROUNDS])
+    def test_bound_skips_most_golden_blocks(self, seed, rounds, monkeypatch):
+        # 32 blocks of 32 high rows, and the tie scored again: 33 products
+        # without the bound
+        qm = golden_round(seed, rounds)
+        products = count_block_products(monkeypatch)
+        brute_force(qm)
+        assert products() <= 20
+
+    def test_bound_skips_most_blocks_of_a_planted_24_bit_qubo(self, monkeypatch):
+        # 512 blocks of 8 high rows; the high half's diagonal alone orders them
+        planted = np.arange(24) % 3 == 1
+        qm = QuboMatrix(np.diag(np.where(planted, -1.0, 1.0)), 0.0, 24)
+        products = count_block_products(monkeypatch)
+        result = brute_force(qm)
+        np.testing.assert_array_equal(result.bits, planted)
+        assert products() < 16
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("diagonal", [
+        [2.0, -1.0, 3.0, -2.0, 1.0, 0.0, -1.0, 0.0, 0.0, 2.0],
+        # no low term and a ground of 0: the ground rows' bounds are exactly 0,
+        # so each block after the first ties the least minimum by its bound
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 2.0],
+    ])
+    def test_blocks_whose_bound_ties_the_least_are_scored(self, rows, diagonal, monkeypatch):
+        # a separable QUBO: each zero on a high-half bit doubles the ground
+        # across blocks, and there the bound is the ground less its margin
+        qm = QuboMatrix(np.diag(diagonal), 0.5, 10)
+        high_rows_per_block(monkeypatch, 10, rows)
+        result = brute_force(qm)
+        table = all_bitstrings(10)
+        spectrum = qubo_energy(qm, table)
+        np.testing.assert_array_equal(result.bits, table[np.argmin(spectrum)])
+        assert result.num_ground == np.count_nonzero(spectrum == spectrum.min()) >= 8
+
+    def test_bound_covers_every_summation_order(self):
+        # one high row holding three terms, whose low sums on l = 1 are -1e16,
+        # -1 and -1: summed from the left each -1 is lost to rounding, but
+        # -1 + -1 first gives -1e16 - 2 exactly.  A product may sum in any
+        # order, so the bound must lie below every order's sum
+        left = np.array([[1.0, 1.0, 1.0, 0.0]])
+        low_sums = np.array([[0.0, 0.0, 0.0], [-1e16, -1.0, -1.0]])
+        (bound,) = solvers._block_bounds(left, low_sums, 1)
+        for order in permutations(range(4)):
+            for l in (0, 1):
+                terms = np.r_[low_sums[l], 1.0] * left[0]
+                assert bound <= sum(terms[list(order)].tolist())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bits=st.integers(0, 18),
+        kind=st.sampled_from(["qubo", "pubo", "qubo view"]),
+        coeffs=st.sampled_from(["integer", "float", "cancelling"]),
+        rows=st.sampled_from([1, 3, None]),
+    )
+    def test_bound_changes_no_result(self, seed, num_bits, kind, coeffs, rows):
+        # scoring every block, as a bound of -inf does, gives the same bits,
+        # energy and tie count; "cancelling" adds terms near +-1e15 to small
+        # ones, so the energies of the split round and the margin must cover it
+        rng = np.random.default_rng(seed)
+
+        def draw(size=None):
+            values = rng.integers(-3, 4, size).astype(float)
+            if coeffs != "integer":
+                values = values + rng.standard_normal(size)
+            if coeffs == "cancelling":
+                values = values + rng.choice([-1e15, 0.0, 1e15], size, p=[0.1, 0.8, 0.1])
+            return values
+
+        if kind != "pubo":
+            objective = QuboMatrix(np.triu(draw((num_bits, num_bits))), float(draw()), num_bits)
+            if kind == "qubo view":
+                objective = objective.pubo
+        else:
+            terms = [((), float(draw()))]
+            for _ in range(int(rng.integers(0, 3 * num_bits + 1))):
+                terms.append((tuple(rng.choice(num_bits, size=int(rng.integers(1, 5)))),
+                              float(draw())))
+            objective = sparsify(terms, num_bits)
+        results = []
+        for bounded in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if rows is not None:
+                    high_rows_per_block(patch, num_bits, rows)
+                if not bounded:
+                    patch.setattr(solvers, "_block_bounds", no_block_bounds)
+                result = brute_force(objective)
+            results.append((result.bits.tobytes(), result.energy.hex(), result.num_ground))
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_energy_is_the_winner_alone(self, seed, monkeypatch):
@@ -515,6 +631,14 @@ class TestSimulatedAnneal:
         signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
         with pytest.raises(ValueError, match=r"\(terms \+ 1\) = inf is not finite"):
             QuboMatrix(np.triu(1e308 * signs, 1), 0.0, n)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_cold_temperature_overflows_quietly(self, quad_qubo):
+        # -Δ/t overflows to ±inf at t = 1e-310, giving the exact probability 0 or 1
+        schedule = AnnealSchedule(t_hot=1.0, t_cold=1e-310)
+        samples = simulated_anneal(quad_qubo, reads=8, sweeps=2, seed=2, schedule=schedule)
+        for record in samples.records:
+            assert record.energy == qubo_energy(quad_qubo, np.array(record.bits, np.uint8))
 
     def test_uniforms_are_multiples_of_2_to_the_minus_53(self):
         # the stop rule's floor rests on this: a uniform other than 0.0 is >= 2^-53
