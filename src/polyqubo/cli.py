@@ -146,7 +146,14 @@ def _solver_args(args) -> dict:
 
 
 def _out_path(args, default_name: str) -> str:
-    return args.output or os.path.join(os.environ.get("POLYQUBO_OUTDIR", "."), default_name)
+    """The report's path, refused before anything is solved if it cannot be a file."""
+    path = args.output or os.path.join(os.environ.get("POLYQUBO_OUTDIR", "."), default_name)
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write report {path}: is a directory")
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write report {path}: directory {folder} does not exist")
+    return path
 
 
 def _write_report(report: dict, path: str, fmt: str) -> None:
@@ -301,7 +308,10 @@ def _cmd_regress(args) -> dict:
     else:
         data = generate_dataset(args.x_points, args.corr_base, noise_seed=args.noise_seed)
     if args.dump_data:
-        save_dataset_csv(data, args.dump_data)
+        try:
+            save_dataset_csv(data, args.dump_data)
+        except OSError as err:
+            raise ConfigError(f"cannot write data {args.dump_data}: {err.strerror or err}") from err
     basis = polynomial_basis(data.x_grid, int(degree))
     report = {"config": _echo_config(args)}
     if args.backend == "cg":
@@ -354,6 +364,8 @@ def _load_input(path, loader=load_system):
         return loader(path)
     except FileNotFoundError as err:
         raise ConfigError(f"input file not found: {path}") from err
+    except OSError as err:
+        raise ConfigError(f"cannot read input {path}: {err.strerror or err}") from err
     except (ValueError, KeyError, json.JSONDecodeError) as err:
         raise ConfigError(f"malformed input {path}: {err}") from err
 
@@ -386,14 +398,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_ranges(sys.argv[1:] if argv is None else argv))
         _read_or_refuse(args)
         handler, default_stem = _COMMANDS[args.command]
+        path = _out_path(args, f"{default_stem}.{args.format}")
         started = time.perf_counter()
         report = handler(args)
         elapsed = time.perf_counter() - started
-        path = _out_path(args, f"{default_stem}.{args.format}")
-        if args.command == "sweep" and args.format == "csv":
-            sweep_to_csv(report["rows"], path)
-        else:
-            _write_report(report, path, args.format)
+        try:
+            if args.command == "sweep" and args.format == "csv":
+                sweep_to_csv(report["rows"], path)
+            else:
+                _write_report(report, path, args.format)
+        except OSError as err:
+            raise ConfigError(f"cannot write report {path}: {err.strerror or err}") from err
         print(f"wrote {path} ({elapsed:.3f}s)", file=sys.stderr)
         return 0
     except (ConfigError, ValueError) as err:

@@ -27,7 +27,8 @@ use by one scatter over the plan's or the matrix's halves (other polynomials
 group theirs), which gives a state the same energy alone as in any batch.
 
 Degree-1 systems take the same compiler (:func:`compile_linear_qubo`): their
-PUBO terms have at most two bits, so quadratization adds no auxiliaries.
+PUBO terms have at most two bits, so quadratization adds no auxiliaries, and
+the QUBO keeps that PUBO as its view.
 """
 
 from __future__ import annotations
@@ -205,7 +206,9 @@ class QuboMatrix:
         Its half table (see :func:`pubo_energy`) comes straight from the
         matrix: the halves are () if a diagonal entry is nonzero, then every
         used bit in ascending order, and M is the matrix on those bits with
-        the diagonal moved to the () column."""
+        the diagonal moved to the () column.  A QUBO that :func:`quadratize`
+        gives with no auxiliary holds its source PUBO here instead, which is
+        this view term for term."""
         n = self.num_bits
         flat = np.flatnonzero(self.matrix)
         i, j = np.divmod(flat, max(n, 1))
@@ -453,6 +456,11 @@ def quadratize(
     lowest indices is the tie-break.  Each allocated auxiliary pair adds the
     penalty row keeping it equal to the product of its logical bits.
 
+    With no auxiliary, every term is a cell of the matrix, which
+    ``np.bincount`` fills with that one coefficient exactly, so the QUBO's
+    PUBO view (:attr:`QuboMatrix.pubo`) would be ``pubo`` term for term, with
+    the same halves and M: it is ``pubo`` itself, not rebuilt from the matrix.
+
     Args:
         pubo: polynomial to reduce; terms larger than 4 are rejected since
             they would need a further substitution round, which this
@@ -509,7 +517,10 @@ def quadratize(
     ])
     # bincount adds every cell's contributions in sequence, as a loop would
     q = np.bincount(cells, values, minlength=size * size).reshape(size, size)
-    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=np.stack([i, j], axis=1), penalty=c_pen)
+    qm = QuboMatrix(q, pubo.offset, n_log, aux_pairs=np.stack([i, j], axis=1), penalty=c_pen)
+    if not num_aux:  # each term filled its own cell alone: the view is the source
+        qm.__dict__["pubo"] = pubo
+    return qm
 
 
 def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatrix:

@@ -8,12 +8,12 @@ of squares.
   truth for objectives of at most ``_ENUMERATION_LIMIT`` = 24 bits.  A QUBO
   is enumerated as its PUBO view.  Each term is a bit mask split into a low
   and a high half; each block of high-half states is scored against every
-  low-half state by one matrix product, offset left out.  The blocks are
-  scored in ascending order of a lower bound on their energies, rounding
-  included, until one's bound exceeds the least minimum so far; the blocks
-  left hold no state that ties it.  Only the blocks that tie the least
-  minimum are scored again.  The winner is the lowest state integer among
-  the exact ties, counted in ``num_ground``.
+  low-half state by one matrix product, offset left out.  The high-half
+  states are sorted by a lower bound on their energies, rounding included,
+  and blocks of the sorted table are scored until one's first bound exceeds
+  the least minimum so far; the states left hold none that ties it.  Only
+  the blocks that tie the least minimum are scored again.  The winner is the
+  lowest state integer among the exact ties, counted in ``num_ground``.
 * :func:`simulated_anneal` — single-flip Metropolis annealing, the software
   stand-in for annealing hardware.  Reads are independent trajectories with
   per-read generators seeded ``seed + read_index``, so chunked, parallel,
@@ -90,8 +90,8 @@ def check_enumerable(num_bits: int) -> None:
         )
 
 
-def _block_bounds(left: np.ndarray, low_sums: np.ndarray, rows: int) -> np.ndarray:
-    """A lower bound on every energy, less the offset, that each block scores.
+def _row_bounds(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """A lower bound on every energy, less the offset, that each high-half row scores.
 
     Row h of ``[C | e_hi] @ [R ; 1]`` sums K terms, ``C[h, k] * R[k, l]``
     and ``e_hi[h]``; C is 0/1, so each is at least ``m_k = min_l R[k, l]``
@@ -100,15 +100,14 @@ def _block_bounds(left: np.ndarray, low_sums: np.ndarray, rows: int) -> np.ndarr
     2^-52) times the sum of the terms' magnitudes, at most ``S[h] = C[h] @
     max_l |R[k, l]| + |e_hi[h]|``.  A margin of ``4 (K + 1) eps S[h]`` comes
     off the bound, which covers both and the rounding of the margin itself.
-    A block's bound is the least of its rows'.
     """
-    least, most = low_sums.min(axis=0), low_sums.max(axis=0)
+    least, most = right[:-1].min(axis=1), right[:-1].max(axis=1)
     weights = np.zeros((left.shape[1], 2))
-    weights[:, 0] = np.r_[least, 1.0]
+    weights[:-1, 0], weights[-1, 0] = least, 1.0
     weights[:-1, 1] = np.maximum(most, -least)
     sums = left @ weights
     margin = 4 * (left.shape[1] + 1) * np.finfo(float).eps * (sums[:, 1] + np.abs(left[:, -1]))
-    return np.minimum.reduceat(sums[:, 0] - margin, np.arange(0, len(left), rows))
+    return sums[:, 0] - margin
 
 
 def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceResult:
@@ -121,26 +120,29 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
     fill one row of M per distinct ``high`` (row 0 for mask 0, the low-only
     terms), and subset sums turn M into ``R[k, l]``, the summed coefficients
     of row k's terms on low state l, and one-hot rows into ``C[h, k] =
-    [h & high_k == high_k]``.  A block of about ``_BLOCK_FLOATS`` states,
-    high-major, scores as the one product
+    [h & high_k == high_k]``.  A block of ``rows`` high rows, about
+    ``_BLOCK_FLOATS`` states, scores as the one product
 
         [C[block] | e_hi[block]] @ [R ; 1]
 
-    into a reused buffer, and only its minimum is kept.  Blocks are scored
-    in ascending order of :func:`_block_bounds`, which lies below every
-    value the product gives in the block, and scoring stops at the first
-    block whose bound exceeds the least minimum so far: that block and the
-    ones after it hold no state below or equal to it, so no tie.  A block
-    whose bound equals it is scored.  An objective of at most 15 bits is one
-    block and needs no bound.  The blocks that tie the least minimum are
-    scored again, in ascending order: the first holds the winner, the
-    lowest state integer (bit i of the integer is bit i of the string), and
-    ``num_ground`` counts their states that tie it exactly.  The offset stays
-    out of the product, so where the coefficients sum exactly (integers, say)
-    the energies and their ties are those of a direct evaluation, whatever
-    the offset.  The reported energy is :func:`pubo_energy` of the winner
-    alone, as the annealer evaluates its records, so it does not depend on
-    the block around it.
+    into a reused buffer, and only its minimum is kept.  With more than one
+    block, the high rows are first sorted by :func:`_row_bounds`, which lies
+    below every value the product gives in the row, and blocks of the sorted
+    table are scored in turn, until one's first row has a bound above the
+    least minimum so far: its rows and all later ones hold no state below or
+    equal to it, so no tie, while every row whose bound is at or below the
+    final least is scored.  Every product has the same shape: if ``rows``
+    does not divide the high rows, the sorted table is padded with copies of
+    its last row, which no minimum or tie count reads.  An objective of at
+    most 15 bits is one block, in natural order, and needs no bound.  The
+    blocks that tie the least minimum are scored again: ``num_ground`` counts
+    their states that tie it exactly, and the winner is the lowest state
+    integer among them (bit i of the integer is bit i of the string).  The
+    offset stays out of the product, so where the coefficients sum exactly
+    (integers, say) the energies and their ties are those of a direct
+    evaluation, whatever the offset.  The reported energy is
+    :func:`pubo_energy` of the winner alone, as the annealer evaluates its
+    records, so it does not depend on the block around it.
     """
     num_bits = objective.num_bits
     check_enumerable(num_bits)
@@ -164,26 +166,29 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
     right = np.ones((len(highs) + 1, 1 << lo))  # [R ; 1], row-major for the product
     right[:-1] = low_sums.T
     rows = min(max(1, _BLOCK_FLOATS >> lo), 1 << hi)
-    blocks = [left[start : start + rows] for start in range(0, 1 << hi, rows)]
+    starts = range(0, 1 << hi, rows)
+    order, bounds = np.arange(1 << hi), np.full(1 << hi, -np.inf)
+    if len(starts) > 1:  # best first, padded to whole blocks with the last row
+        bounds = _row_bounds(left, right)
+        order = np.argsort(bounds, kind="stable")
+        left = left.take(order.take(np.arange(len(starts) * rows), mode="clip"), axis=0)
     buf = np.empty((rows, 1 << lo))
 
-    def score(block: np.ndarray) -> np.ndarray:  # the block's energies less the offset
-        return np.matmul(block, right, out=buf[: len(block)]).ravel()
+    def score(start: int) -> np.ndarray:  # energies less the offset, one row per real row
+        return np.matmul(left[start : start + rows], right, out=buf)[: len(order) - start]
 
-    # best first: a block whose bound exceeds the least minimum so far holds
-    # no state that ties it, nor do the blocks after it
-    bounds = _block_bounds(left, low_sums, rows) if len(blocks) > 1 else np.full(1, -np.inf)
-    minima, least = np.full(len(blocks), np.inf), np.inf
-    for b in np.argsort(bounds, kind="stable"):
-        if bounds[b] > least:
+    minima, least = np.full(len(starts), np.inf), np.inf
+    for b, start in enumerate(starts):
+        if bounds[order[start]] > least:
             break
-        minima[b] = score(blocks[b]).min()
+        minima[b] = score(start).min()
         least = min(least, minima[b])
-    best_state, num_ground = 0, 0
-    for b in np.flatnonzero(minima == minima.min()):
-        ties = score(blocks[b]) == minima[b]
-        if not num_ground:
-            best_state = (int(b) * rows << lo) + int(np.argmax(ties))
+    best_state, num_ground = 1 << num_bits, 0
+    for start in np.flatnonzero(minima == least) * rows:
+        ties = score(start) == least
+        tied = np.flatnonzero(ties.any(axis=1))
+        row = tied[np.argmin(order[start + tied])]
+        best_state = min(best_state, int(order[start + row]) << lo | int(np.argmax(ties[row])))
         num_ground += int(np.count_nonzero(ties))
     ground_bits = ((best_state >> np.arange(num_bits)) & 1).astype(np.uint8)
     return BruteForceResult(ground_bits, pubo_energy(pubo, ground_bits), num_ground)
@@ -462,16 +467,23 @@ def conjugate_gradient(
     system finishes in one iteration.  Hitting ``max_iter`` (default 10 times
     the system size) returns the partial solution flagged unconverged.
 
-    Raises ``ValueError`` when ``p1`` is not symmetric (to a relative 1e-10
-    of its largest entry), or when a search direction p has curvature
-    ``p @ p1 @ p <= 0``, which shows ``p1`` is not positive definite.
+    Raises ``ValueError`` when ``tol`` is not positive (NaN included),
+    ``max_iter`` is negative, ``p1`` or ``p0`` holds a non-finite entry,
+    ``p1`` is not symmetric (to a relative 1e-10 of its largest entry), or a
+    search direction p has curvature ``p @ p1 @ p <= 0``, which shows ``p1``
+    is not positive definite.
     """
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     if p1.ndim != 2 or p1.shape[0] != p1.shape[1] or p1.shape[0] != p0.shape[0]:
         raise ValueError(f"shape mismatch: matrix {p1.shape}, constant {p0.shape}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+    for name, array in (("p1", p1), ("p0", p0)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} has a non-finite entry")
     asymmetry = float(np.max(np.abs(p1 - p1.T), initial=0.0))
     if asymmetry > 1e-10 * float(np.max(np.abs(p1), initial=0.0)):
         raise ValueError(f"matrix is not symmetric (max |p1 - p1^T| = {asymmetry:.3e})")

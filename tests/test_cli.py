@@ -312,6 +312,69 @@ class TestErrorPaths:
         assert run(["solve-poly", "nope.json"]) == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["solve-linear", FIXTURE_DIR, "--backend", "cg"],
+        ["regress", "--data", FIXTURE_DIR, "--backend", "cg"],
+    ])
+    def test_unreadable_input(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        assert run(argv + ["--output", out]) == 1
+        assert f"cannot read input {FIXTURE_DIR}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["solve-linear", LINEAR, "--backend", "cg"],
+        ["sweep", "--kind", "precision", "--bits-list", "2", "--backend", "brute",
+         "--format", "csv"],
+    ])
+    @pytest.mark.parametrize("output, flaw", [
+        ("missing/r.out", "directory {tmp}/missing does not exist"),
+        (".", "is a directory"),
+    ])
+    def test_unwritable_report_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch, argv, output, flaw
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "conjugate_gradient", lambda *a, **k: calls.append(a))
+        path = os.path.normpath(tmp_path / output)
+        assert run(argv + ["--output", path]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write report {path}: {flaw.format(tmp=tmp_path)}" in err
+        assert not calls
+
+    @pytest.mark.filterwarnings("error")
+    def test_unwritable_default_report_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POLYQUBO_OUTDIR", str(tmp_path / "missing"))
+        assert run(["solve-linear", LINEAR, "--backend", "cg"]) == 1
+        assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["solve-linear", LINEAR, "--backend", "cg"],
+        ["sweep", "--kind", "precision", "--bits-list", "2", "--backend", "brute",
+         "--format", "csv"],
+    ])
+    def test_write_failure_names_the_report(self, tmp_path, capsys, monkeypatch, argv):
+        # the folder exists when checked, but the write itself fails
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "_write_report", refuse)
+        monkeypatch.setattr(cli, "sweep_to_csv", refuse)
+        out = tmp_path / "report.out"
+        assert run(argv + ["--output", out]) == 1
+        assert f"cannot write report {out}: Permission denied" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_unwritable_data_dump(self, tmp_path, capsys):
+        dump = tmp_path / "missing" / "data.csv"
+        argv = ["regress", "--backend", "cg", "--dump-data", dump]
+        assert run(argv + ["--output", tmp_path / "report.json"]) == 1
+        assert f"cannot write data {dump}" in capsys.readouterr().err
+
     def test_malformed_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_equations": 1}')

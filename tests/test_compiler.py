@@ -611,6 +611,53 @@ class TestQuadratize:
             matrix, _, c_pen = add_at_quadratize(pubo, None, aux)
             assert qm.matrix.tobytes() == matrix.tobytes() and qm.penalty == c_pen
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bits=st.integers(0, 8),
+        source=st.sampled_from(["degree 1", "pairs", "linear terms", "offset only", "no terms"]),
+        aux=st.sampled_from(["lazy", "all"]),
+    )
+    def test_aux_free_qubo_keeps_its_pubo(self, seed, num_bits, source, aux):
+        # with no auxiliary the matrix's own view would be the source term for
+        # term, halves and M included, so the QUBO holds the source
+        rng = np.random.default_rng(seed)
+        if source == "degree 1":
+            num_vars = int(rng.integers(1, 4))
+            system = random_system(rng, int(rng.integers(1, 4)), num_vars, 1)
+            pubo = compile_pubo(system, random_encoding(rng, num_vars, int(rng.integers(1, 4))))
+        else:
+            sizes = {"pairs": (1, 3), "linear terms": (1, 2), "offset only": (0, 1),
+                     "no terms": (1, 1)}[source]
+            raw = [(tuple(rng.choice(num_bits, int(rng.integers(*sizes))).tolist()),
+                    float(rng.integers(-3, 4) + rng.standard_normal()))
+                   for _ in range(int(rng.integers(0, 12)) if num_bits and sizes[1] > 1 else 0)]
+            raw.append(((), 0.0 if source == "no terms" else float(rng.standard_normal())))
+            pubo = sparsify(raw, num_bits=num_bits)
+        aux = aux if pubo.num_bits <= 1 else "lazy"
+        qm = quadratize(pubo, aux=aux)
+        assert qm.num_aux == 0 and qm.pubo is pubo
+        built = QuboMatrix(qm.matrix, qm.offset, qm.num_logical).pubo
+        assert built is not pubo
+        assert pubo.rows.shape == built.rows.shape
+        assert pubo.rows.tobytes() == built.rows.tobytes()
+        assert pubo.coeffs.tobytes() == built.coeffs.tobytes()
+        assert float(pubo.offset).hex() == float(built.offset).hex()
+        for mine, theirs in zip(pubo._half_table, built._half_table):
+            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+            assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("terms, num_bits, aux", [
+        ({(0, 1): 1.0, (1,): -2.0}, 2, "all"),
+        ({(0,): 1.0}, 3, "all"),
+        ({(0, 1, 2): 1.5, (2,): -1.0}, 3, "lazy"),
+    ])
+    def test_qubo_with_auxiliaries_views_its_matrix(self, terms, num_bits, aux):
+        pubo = sparsify(terms, num_bits=num_bits)
+        qm = quadratize(pubo, aux=aux)
+        assert qm.num_aux and qm.pubo is not pubo
+        assert qm.pubo.num_bits == qm.num_bits > pubo.num_bits
+
     def test_oversized_term_rejected(self):
         pubo = sparsify({(0, 1, 2, 3, 4): 1.0}, num_bits=5)
         with pytest.raises(ValueError, match="not implemented"):

@@ -99,9 +99,10 @@ def count_block_products(monkeypatch):
     return lambda: sum(calls)
 
 
-def no_block_bounds(left, low_sums, rows):
-    """A bound of -inf on each block, in place of solvers._block_bounds: every block is scored."""
-    return np.full(-(-len(left) // rows), -np.inf)
+def no_block_bounds(left, right):
+    """A bound of -inf on each row, in place of solvers._row_bounds: the rows keep
+    their natural order and every block is scored."""
+    return np.full(len(left), -np.inf)
 
 
 def conditioned_system(seed):
@@ -243,11 +244,12 @@ class TestBruteForce:
     @pytest.mark.parametrize("seed, rounds", [case[:2] for case in GOLDEN_ROUNDS])
     def test_bound_skips_most_golden_blocks(self, seed, rounds, monkeypatch):
         # 32 blocks of 32 high rows, and the tie scored again: 33 products
-        # without the bound
+        # without the bound; the rows sorted by their bounds pack the few that
+        # can reach the ground into a handful of blocks
         qm = golden_round(seed, rounds)
         products = count_block_products(monkeypatch)
         brute_force(qm)
-        assert products() <= 20
+        assert products() <= 10
 
     def test_bound_skips_most_blocks_of_a_planted_24_bit_qubo(self, monkeypatch):
         # 512 blocks of 8 high rows; the high half's diagonal alone orders them
@@ -257,6 +259,34 @@ class TestBruteForce:
         result = brute_force(qm)
         np.testing.assert_array_equal(result.bits, planted)
         assert products() < 16
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("num_bits, seed", [(16, 0), (17, 1), (18, 2), (18, 3)])
+    def test_ties_in_distant_high_rows(self, num_bits, seed, rows, monkeypatch):
+        # the integer QUBO (w @ x - t)^2: every subset of the weights that sums
+        # to t is a ground state of energy 0, and these lie in high rows far
+        # apart whose bounds differ, so the sorted rows hold them out of order
+        rng = np.random.default_rng(seed)
+        w = rng.integers(1, 200, num_bits).astype(float)
+        target = float(w[rng.permutation(num_bits)[: num_bits // 2]].sum())
+        matrix = np.triu(2.0 * np.outer(w, w), 1) + np.diag(w * w - 2.0 * target * w)
+        qm = QuboMatrix(matrix, target * target, num_bits)
+        if rows is not None:
+            high_rows_per_block(monkeypatch, num_bits, rows)
+        result = brute_force(qm)
+        table = all_bitstrings(num_bits)
+        spectrum = qubo_energy(qm, table)
+        np.testing.assert_array_equal(result.bits, table[np.argmin(spectrum)])
+        assert result.num_ground == np.count_nonzero(spectrum == 0.0) > 1
+        assert result.energy == 0.0
+
+    def test_padding_rows_are_never_counted(self, monkeypatch):
+        # 256 high rows in blocks of 3: the last block holds one row and two
+        # copies of it, and on a flat objective every copy would tie
+        high_rows_per_block(monkeypatch, 16, 3)
+        result = brute_force(sparsify({(0,): 0.0}, num_bits=16))
+        assert result.num_ground == 2**16
+        np.testing.assert_array_equal(result.bits, np.zeros(16))
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("diagonal", [
@@ -283,7 +313,7 @@ class TestBruteForce:
         # order, so the bound must lie below every order's sum
         left = np.array([[1.0, 1.0, 1.0, 0.0]])
         low_sums = np.array([[0.0, 0.0, 0.0], [-1e16, -1.0, -1.0]])
-        (bound,) = solvers._block_bounds(left, low_sums, 1)
+        (bound,) = solvers._row_bounds(left, np.r_[low_sums.T, np.ones((1, 2))])
         for order in permutations(range(4)):
             for l in (0, 1):
                 terms = np.r_[low_sums[l], 1.0] * left[0]
@@ -327,7 +357,7 @@ class TestBruteForce:
                 if rows is not None:
                     high_rows_per_block(patch, num_bits, rows)
                 if not bounded:
-                    patch.setattr(solvers, "_block_bounds", no_block_bounds)
+                    patch.setattr(solvers, "_row_bounds", no_block_bounds)
                 result = brute_force(objective)
             results.append((result.bits.tobytes(), result.energy.hex(), result.num_ground))
         assert results[0] == results[1]
@@ -892,6 +922,29 @@ class TestConjugateGradient:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):
             conjugate_gradient(np.eye(2), np.ones(2), tol=0.0)
+
+    def test_nan_tol_rejected(self):
+        # NaN passes a tol <= 0 test, and then every step looks unconverged
+        with pytest.raises(ValueError, match="tol must be positive"):
+            conjugate_gradient(np.eye(3), np.ones(3), tol=float("nan"))
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(ValueError, match="max_iter must be >= 0, got -3"):
+            conjugate_gradient(np.eye(3), np.ones(3), max_iter=-3)
+
+    @pytest.mark.filterwarnings("error")  # refused by name, with no RuntimeWarning on the way
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        p1 = np.eye(3)
+        p1[1, 1] = bad
+        with pytest.raises(ValueError, match="p1 has a non-finite entry"):
+            conjugate_gradient(p1, np.ones(3))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_constant_rejected(self, bad):
+        with pytest.raises(ValueError, match="p0 has a non-finite entry"):
+            conjugate_gradient(np.eye(3), [1.0, bad, 1.0])
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):
