@@ -67,6 +67,16 @@ def _parse_vec(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} expects numbers, got {text!r}") from err
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value; numpy's generators take integers >= 0 only."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def _attach_ranges(argv: list[str]) -> list[str]:
     """Join ``--lo``/``--hi`` to a following list that starts with a minus sign.
 
@@ -194,7 +204,7 @@ def _add_common(p, command):
         ("bits", {"type": int, "help": "bits per variable"}),
         ("aux", {"choices": ["lazy", "all"], "help": "auxiliary pairs to allocate"}),
         ("penalty", {"type": float, "help": "override penalty weight C"}),
-        ("seed", {"type": int, "help": "random seed"}),
+        ("seed", {"type": _seed, "help": "random seed"}),
         ("reads", {"type": int, "help": "independent reads"}),
         ("sweeps", {"type": int, "help": "sweeps per read"}),
         ("t_hot", {"type": float, "help": "override hot temperature"}),
@@ -227,7 +237,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cov", default=None, help="covariance matrix CSV (with --data only)")
     p.add_argument("--noiseless", action="store_const", const=True,
                    help="synthetic data without noise (not with --data)")
-    p.add_argument("--noise-seed", type=int, default=None,
+    p.add_argument("--noise-seed", type=_seed, default=None,
                    help="seeded synthetic noise draw (not with --data or --noiseless)")
     p.add_argument("--x-points", type=int, help=f"data points (default {_DEFAULTS['x_points']})")
     p.add_argument("--corr-base", type=float,
@@ -252,7 +262,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--kappa", type=float, default=1.1)
     p.add_argument("--iters", type=int, default=9)
-    p.add_argument("--instance-seed", type=int, default=0, help="matrix generation seed")
+    p.add_argument("--instance-seed", type=_seed, default=0, help="matrix generation seed")
     _add_common(p, "iterate")
     return parser
 

@@ -22,16 +22,16 @@ of squares.
   consecutive, mutually uncoupled bits at once: flipping one bit of a run
   leaves the others' fields unchanged, so the samples are exactly those of
   one step per bit, with far fewer numpy calls on quadratized objectives,
-  whose auxiliaries rarely couple to their neighbours.  A read chunk stops
-  after the first sweep in which every acceptance probability was below
-  2^-54, if no later sweep runs hotter and no uniform from that sweep on is
-  0.0.  numpy's uniforms are multiples of 2^-53, so such a probability
-  accepts none of them: nothing flipped, the next sweep sees the same fields
-  and the same Δ > 0, and a temperature no higher keeps each probability
-  below any uniform left.  No later sweep could flip a bit, so the samples
-  are those of the full ladder.  The uniforms are held in blocks of sweeps;
-  those of later blocks are drawn ahead only to look for a 0.0, and put back
-  if one turns up, so where a chunk stops does not depend on the blocks.
+  whose auxiliaries rarely couple to their neighbours.  A sweep is skipped
+  if it runs no hotter than a sweep in which every acceptance probability
+  was below 2^-54 and no uniform was 0.0, with only skipped sweeps between
+  them, and none of its own uniforms is 0.0.  numpy's uniforms are
+  multiples of 2^-53, so such a probability accepts none of them: the
+  earlier sweep flipped nothing, the skipped one sees the same fields and
+  the same Δ > 0, and its temperature, no higher, keeps each probability
+  below its uniforms.  Skipping it changes no sample.  Every uniform is
+  still drawn, in blocks of sweeps, so which sweeps run does not depend on
+  the blocks.
 * :func:`conjugate_gradient` — classical iterative reference for symmetric
   positive-definite linear systems.
 
@@ -41,6 +41,7 @@ and the one place that knows what each reports.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -281,26 +282,6 @@ def _run_fields(states: np.ndarray, columns: np.ndarray, run: int | slice) -> np
     return np.matmul(states, columns[run, :, None])[..., 0].T
 
 
-def _no_zero_ahead(rngs: list[np.random.Generator], count: int) -> bool:
-    """Whether no generator's next ``count`` uniforms (count >= 1) is 0.0.
-
-    Each generator draws them into one scratch buffer of at most
-    ``_UNIFORM_FLOATS``.  If a 0.0 turns up, every generator drawn from is put
-    back to the ``bit_generator.state`` it had, so its stream goes on as if
-    nothing was drawn; otherwise the draws stand, and the caller reads no more.
-    """
-    scratch = np.empty(min(count, _UNIFORM_FLOATS))
-    saved = []
-    for rng in rngs:
-        saved.append(rng.bit_generator.state)
-        for done in range(0, count, len(scratch)):
-            if not rng.random(out=scratch[: count - done]).all():
-                for put_back, state in zip(rngs, saved):
-                    put_back.bit_generator.state = state
-                return False
-    return True
-
-
 def simulated_anneal(
     qm: QuboMatrix,
     reads: int = 1000,
@@ -312,7 +293,7 @@ def simulated_anneal(
 
     Read r draws its randomness from ``default_rng(seed + r)`` — first the
     initial state, then one uniform per flip proposal, in sweep-major, bit-
-    ascending order, for every sweep that runs — so results are bit-
+    ascending order, for every sweep of the ladder — so results are bit-
     reproducible and independent of how the reads are batched.  Reads are
     annealed in chunks of ``_READ_CHUNK``, and the uniforms are drawn into
     blocks of sweeps holding at most ``_UNIFORM_FLOATS`` per chunk, which
@@ -320,21 +301,21 @@ def simulated_anneal(
     :func:`qubo_energy` call scores the distinct states, each with the
     energy it has alone.
 
-    A chunk stops after sweep s if every step of s gave every read an
-    acceptance probability ``p = exp(min(-Δ/t, 0))`` below 2^-54, no later
-    temperature exceeds ``t``, and no uniform of s or of a later sweep is
-    0.0.  This is exact: ``Generator.random`` returns multiples of 2^-53, so
-    each of those uniforms is at least 2^-53, and s flipped nothing.  The
-    next sweep's fields then come from the same gemvs over the same states
-    and have the same bits, as has each Δ, which is > 0; and for ``t' <= t``,
-    ``-Δ/t' <= -Δ/t``, so a p below 2^-54 stays below 2^-53, a factor of two
-    that covers the rounding of ``exp``.  By induction no later sweep flips a
-    bit, and the uniforms it would read are never used.  The uniforms left in
-    the current block are scanned in place.  Those of later blocks are drawn
-    ahead, read by read, into a scratch buffer of at most ``_UNIFORM_FLOATS``
-    (see :func:`_no_zero_ahead`); if one is 0.0, every generator goes back to
-    its saved state and the chunk goes on.  So the sweeps run, like the
-    samples, do not depend on how the uniforms are split into blocks.
+    A sweep is skipped if no sweep has run since a frozen one, it runs no
+    hotter than that one, and none of its uniforms is 0.0.  A sweep that
+    runs is frozen if every one of its steps gave every read an acceptance
+    probability ``p = exp(min(-Δ/t, 0))`` below 2^-54 and none of its
+    uniforms is 0.0.  This is exact: ``Generator.random`` returns multiples
+    of 2^-53, so each of those uniforms is at least 2^-53, and the frozen
+    sweep flipped nothing.  A skipped sweep, had it run, would take its
+    fields from the same gemvs over the same states, with the same bits, as
+    each Δ, which is > 0; and at ``t' <= t``, ``-Δ/t' <= -Δ/t``, so a p below
+    2^-54 stays below 2^-53, a factor of two that covers the rounding of
+    ``exp``.  So it would flip nothing either, and by induction neither would
+    any skipped sweep after it.  A hotter sweep, or one that holds a 0.0,
+    runs and is frozen or not by the same test.  Every uniform is drawn,
+    skipped sweep or not, so the sweeps run, like the samples, do not depend
+    on how the uniforms are split into blocks.
 
     The bits split once into maximal runs of consecutive bits with zero
     coupling among them, and each sweep makes one vectorised Metropolis step
@@ -350,6 +331,8 @@ def simulated_anneal(
     """
     if reads < 1 or sweeps < 1:
         raise ValueError(f"reads and sweeps must be >= 1, got {reads}, {sweeps}")
+    if seed < 0:  # read r is seeded seed + r, and numpy's seeds are >= 0
+        raise ValueError(f"seed must be >= 0, got {seed}")
     schedule = schedule or AnnealSchedule()
     temps = schedule.temperatures(qm, sweeps)
     n = qm.num_bits
@@ -359,9 +342,6 @@ def simulated_anneal(
     columns = coupling.T  # columns[v] is coupling[:, v], same strides
     # a lone bit indexes as an int: 1-d steps cost less than (reads, 1) ones
     runs = [a if b == a + 1 else slice(a, b) for a, b in _uncoupled_runs(coupling)]
-
-    # coolest[s]: no later sweep runs hotter, so a frozen sweep s ends the chunk
-    coolest = temps >= np.append(np.maximum.accumulate(temps[::-1])[-2::-1], -np.inf)
 
     tally: Counter[bytes] = Counter()  # packed final states, in first-seen order
     with np.errstate(over="ignore"):
@@ -373,13 +353,15 @@ def simulated_anneal(
                 states[r] = rng.integers(0, 2, size=n)
             block = max(1, _UNIFORM_FLOATS // max(1, size * n))
             uniforms = np.empty((size, min(block, sweeps), n))
+            t_frozen = -np.inf  # a sweep this cold with no 0.0 uniform flips nothing
             for first in range(0, sweeps, block):
                 span = min(block, sweeps - first)
-                ahead = (sweeps - first - span) * n  # each read's uniforms in later blocks
                 for r, rng in enumerate(rngs):
                     rng.random(out=uniforms[r, :span])
                 for s in range(span):
                     t = temps[first + s]
+                    if t <= t_frozen and uniforms[:, s].all():
+                        continue
                     live = False  # some step of this sweep had a probability >= 2^-54
                     for run in runs:
                         fields = _run_fields(states, columns, run)
@@ -389,18 +371,7 @@ def simulated_anneal(
                         live = live or not (prob < 2.0**-54).all()
                         accept = uniforms[:, s, run] < prob
                         states[:, run] = np.where(accept, 1.0 - col, col)
-                    # no uniform of this sweep or a later one is 0.0: this block's
-                    # are scanned in place, later blocks' drawn ahead
-                    frozen = (
-                        not live
-                        and coolest[first + s]
-                        and uniforms[:, s:span].all()
-                        and (not ahead or _no_zero_ahead(rngs, ahead))
-                    )
-                    if frozen:
-                        break
-                if frozen:
-                    break
+                    t_frozen = t if not live and uniforms[:, s].all() else -np.inf
             tally.update(key.tobytes() for key in np.packbits(states.astype(np.uint8), axis=1))
 
     packed = np.frombuffer(b"".join(tally), np.uint8).reshape(len(tally), -1)
@@ -469,9 +440,10 @@ def conjugate_gradient(
 
     Raises ``ValueError`` when ``tol`` is not positive (NaN included),
     ``max_iter`` is negative, ``p1`` or ``p0`` holds a non-finite entry,
-    ``p1`` is not symmetric (to a relative 1e-10 of its largest entry), or a
+    ``p1`` is not symmetric (to a relative 1e-10 of its largest entry), a
     search direction p has curvature ``p @ p1 @ p <= 0``, which shows ``p1``
-    is not positive definite.
+    is not positive definite, or ``||p0||``, a curvature, ``r @ r`` or the
+    solution overflows.
     """
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -491,28 +463,37 @@ def conjugate_gradient(
     if max_iter is None:
         max_iter = 10 * n
     b = -p0
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return CgReport(np.zeros(n), 0, 0.0, True)
     x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for k in range(max_iter):
-        if np.sqrt(rs) / b_norm <= tol:
-            return CgReport(x, k, float(np.sqrt(rs) / b_norm), True)
-        ap = p1 @ p
-        curvature = float(p @ ap)
-        if curvature <= 0.0:
-            raise ValueError(
-                f"matrix is not positive definite: p @ p1 @ p = {curvature!r} "
-                f"at iteration {k}"
-            )
-        alpha = rs / curvature
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    converged = np.sqrt(rs) / b_norm <= tol
-    return CgReport(x, max_iter, float(np.sqrt(rs) / b_norm), bool(converged))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is raised below
+        b_norm = float(np.linalg.norm(b))
+        if not math.isfinite(b_norm):
+            raise ValueError(f"||p0|| = {b_norm!r} is not finite")
+        if b_norm == 0.0:
+            return CgReport(x, 0, 0.0, True)
+        r = b.copy()
+        p = r.copy()
+        rs = float(r @ r)
+        k = 0
+        while k < max_iter and np.sqrt(rs) / b_norm > tol:
+            ap = p1 @ p
+            curvature = float(p @ ap)
+            if not math.isfinite(curvature):
+                raise ValueError(f"p @ p1 @ p = {curvature!r} is not finite at iteration {k}")
+            if curvature <= 0.0:
+                raise ValueError(
+                    f"matrix is not positive definite: p @ p1 @ p = {curvature!r} "
+                    f"at iteration {k}"
+                )
+            alpha = rs / curvature
+            x = x + alpha * p
+            r = r - alpha * ap
+            rs_new = float(r @ r)
+            if not math.isfinite(rs_new):
+                raise ValueError(f"residual r @ r = {rs_new!r} is not finite at iteration {k}")
+            p = r + (rs_new / rs) * p
+            rs = rs_new
+            k += 1
+    if not np.isfinite(x).all():  # once x overflows it stays non-finite
+        raise ValueError(f"solution x is not finite after {k} iterations")
+    ratio = float(np.sqrt(rs) / b_norm)
+    return CgReport(x, k, ratio, bool(ratio <= tol))

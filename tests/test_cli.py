@@ -308,6 +308,25 @@ class TestErrorPaths:
         assert "kappa must be finite and >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["solve-linear", LINEAR, "--bits", "2", "--backend", "anneal", "--seed", "-1"],
+        ["iterate", "--backend", "brute", "--instance-seed", "-1"],
+        ["regress", "--backend", "cg", "--noise-seed", "-1"],
+    ])
+    def test_negative_seed_refused_by_name(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        assert run(argv + ["--output", out]) == 1
+        assert f"argument {argv[-2]}: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # refused by name, with no RuntimeWarning on the way
+    def test_overflowing_cg_refused(self, tmp_path, capsys):
+        # the normal equations of a degree-49 basis overflow p @ p1 @ p; degree 45's do not
+        out = tmp_path / "report.json"
+        assert run(["regress", "--basis", "poly:45", "--backend", "cg", "--output", out]) == 0
+        assert run(["regress", "--basis", "poly:49", "--backend", "cg", "--output", out]) == 1
+        assert "p @ p1 @ p = inf is not finite at iteration 0" in capsys.readouterr().err
+
     def test_missing_input(self, capsys):
         assert run(["solve-poly", "nope.json"]) == 1
         assert "not found" in capsys.readouterr().err

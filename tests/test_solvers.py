@@ -574,15 +574,38 @@ class TestSimulatedAnneal:
         assert steps < 60 * self.num_runs(qm)
 
     def test_ladder_that_warms_again_keeps_annealing(self, monkeypatch):
-        # the cold sweeps freeze every read at 0; each hot one flips every bit
+        # sweep 0 drops every bit to 0, sweep 1 is frozen and sweep 2 skipped;
+        # each hot sweep runs and flips every bit
         qm = QuboMatrix(np.diag([1.0, 2.0, 3.0, 4.0]), 0.0, 4)
         ladder = np.array([1e-30] * 3 + [1e9] * 3)
         monkeypatch.setattr(AnnealSchedule, "temperatures", lambda self, qm, sweeps: ladder)
         args = dict(reads=16, sweeps=6, seed=2)
         samples, steps = self.count_steps(qm, **args)
         assert sample_key(samples) == sample_key(reference_anneal(qm, **args))
-        assert steps == 6 * self.num_runs(qm)
+        assert steps == 5 * self.num_runs(qm)
         assert samples.records[0].bits == (1, 1, 1, 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bits=st.integers(0, 9),
+        reads=st.integers(1, 12),
+        ladder=st.lists(st.sampled_from([1e-30, 1e-3, 1.0, 1e9]), min_size=1, max_size=8),
+    )
+    def test_skipping_on_any_ladder_matches_per_bit_reference(self, seed, num_bits, reads, ladder):
+        # ladders that warm and cool again: a skipped sweep never changes a
+        # sample, and no sweep runs twice
+        rng = np.random.default_rng(seed)
+        matrix = np.triu(rng.standard_normal((num_bits, num_bits)))
+        matrix *= rng.random(matrix.shape) < 0.5
+        qm = QuboMatrix(matrix, 0.0, num_bits)
+        args = dict(reads=reads, sweeps=len(ladder), seed=seed % 1000)
+        temps = lambda self, qm, sweeps: np.array(ladder)  # noqa: E731
+        # hypothesis reruns the test body, so a function-scoped monkeypatch would leak
+        with mock.patch.object(AnnealSchedule, "temperatures", temps):
+            samples, steps = self.count_steps(qm, **args)
+            assert sample_key(samples) == sample_key(reference_anneal(qm, **args))
+        assert steps <= len(ladder) * self.num_runs(qm)
 
     def test_zero_qubo_runs_every_step(self):
         # every probability is exp(0) = 1, so no sweep is frozen
@@ -600,14 +623,14 @@ class TestSimulatedAnneal:
         assert steps == 20 * self.num_runs(qm)
 
     @pytest.mark.parametrize("uniform_floats", [solvers._UNIFORM_FLOATS, 1])
-    @pytest.mark.parametrize("zero_sweep, sweeps_run", [(7, 8), (4, 7)])
+    @pytest.mark.parametrize("zero_sweep, sweeps_run", [(7, 3), (4, 5)])
     def test_zero_uniform_in_the_final_block_keeps_the_chunk_running(
         self, monkeypatch, uniform_floats, zero_sweep, sweeps_run
     ):
         # at t = 1/40 a bit at 0 accepts with p = exp(-40) < 2^-54, so after
-        # the first sweep only a uniform of exactly 0.0 can flip one.  In
-        # blocks of one sweep, the uniforms of every later sweep are drawn
-        # ahead to look for it, and put back
+        # the first sweep only a uniform of exactly 0.0 can flip one.  Sweep 1
+        # is frozen; each later sweep is skipped unless it holds a 0.0, in
+        # blocks of all sweeps or of one
         qm = QuboMatrix(np.eye(3), 0.0, 3)
         ladder = lambda self, qm, sweeps: np.full(sweeps, 1 / 40)  # noqa: E731
         monkeypatch.setattr(AnnealSchedule, "temperatures", ladder)
@@ -618,22 +641,13 @@ class TestSimulatedAnneal:
 
         default_rng = np.random.default_rng
         stream = args["sweeps"] * qm.num_bits  # the uniforms a read draws in the reference
-        # the last read draws 0.0 for bit 2 in sweep zero_sweep, so a look-ahead
-        # draws every other read's stream first, and must put all of them back
+        # the last read draws 0.0 for bit 2 in sweep zero_sweep: that sweep runs
+        # and flips it up, and the sweeps after it run until one is frozen again
         zero_at = {args["reads"] - 1: zero_sweep * qm.num_bits + 2}
 
         def zero_in_one_sweep(seed):
             rng = default_rng(seed)
             drawn = [0]  # uniforms drawn so far
-
-            class BitGenerator:  # its state holds the count, so putting it back rewinds it
-                @property
-                def state(self):
-                    return rng.bit_generator.state, drawn[0]
-
-                @state.setter
-                def state(self, value):
-                    rng.bit_generator.state, drawn[0] = value
 
             def random(shape=None, out=None):  # the annealer passes out=, the reference a shape
                 uniforms = rng.random(shape, out=out)
@@ -644,7 +658,8 @@ class TestSimulatedAnneal:
                 assert drawn[0] <= stream, f"read {seed} drew past its stream"
                 return uniforms
 
-            return SimpleNamespace(integers=rng.integers, random=random, bit_generator=BitGenerator())
+            # no bit_generator: the annealer reads only these two draws
+            return SimpleNamespace(integers=rng.integers, random=random)
 
         monkeypatch.setattr(np.random, "default_rng", zero_in_one_sweep)
         samples, steps = self.count_steps(qm, **args)
@@ -677,9 +692,9 @@ class TestSimulatedAnneal:
             assert np.array_equal(scaled, np.floor(scaled))
 
     def test_uniform_blocks_change_no_sample_and_no_step(self, poly_qubos, monkeypatch):
-        # blocks of 1, 7 and all 60 sweeps; with one uniform held, the ones
-        # ahead are drawn one at a time.  The stop looks past the block for a
-        # 0.0, so where a chunk stops does not depend on the blocks either
+        # blocks of 1, 7 and all 60 sweeps; with one uniform held, they are
+        # drawn one at a time.  A sweep is skipped by its own uniforms and the
+        # sweeps before it, so which sweeps run does not depend on the blocks
         args = dict(reads=16, sweeps=60, seed=3)
         for qm in poly_qubos:
             sweep = args["reads"] * qm.num_bits
@@ -694,8 +709,8 @@ class TestSimulatedAnneal:
 
     def test_uniform_buffer_memory_bounded(self):
         # all 500 sweeps of a 512-read chunk of 48 bits would hold 98 MB of
-        # uniforms; the chunk holds one block, and one read's look-ahead
-        # scratch, of at most _UNIFORM_FLOATS each, plus the states
+        # uniforms; the chunk holds one block of at most _UNIFORM_FLOATS, plus
+        # the states
         p1 = make_conditioned_matrix(ConditionedSpec(24, 1.1, seed=0))
         qm = compile_linear_qubo(PolynomialSystem([make_rhs(24), p1]), from_range(-1.0, 1.0, 2, 24))
         reads = 512
@@ -705,9 +720,9 @@ class TestSimulatedAnneal:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        states = reads * (qm.num_bits * 8 + 1000)  # each read's bits and saved generator state
+        states = reads * (qm.num_bits * 8 + 1000)  # each read's bits and generator
         margin = 1e6  # generators, fields, records and the tally
-        assert peak < 2 * solvers._UNIFORM_FLOATS * 8 + states + margin, f"peak {peak / 1e6:.2f} MB"
+        assert peak < solvers._UNIFORM_FLOATS * 8 + states + margin, f"peak {peak / 1e6:.2f} MB"
 
     def test_uniform_blocks_keep_the_stream(self, quad_qubo, monkeypatch):
         # blocks of one sweep draw the same uniforms as one block of all sweeps
@@ -775,6 +790,11 @@ class TestSimulatedAnneal:
             simulated_anneal(quad_qubo, reads=0)
         with pytest.raises(ValueError, match=">= 1"):
             simulated_anneal(quad_qubo, reads=5, sweeps=0)
+
+    def test_negative_seed_rejected(self, quad_qubo):
+        # read r is seeded seed + r, so a negative seed would fail inside numpy
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            simulated_anneal(quad_qubo, reads=5, seed=-1)
 
 
 class TestSolve:
@@ -956,3 +976,14 @@ class TestConjugateGradient:
         # an indefinite matrix report converged=True
         with pytest.raises(ValueError, match="not positive definite"):
             conjugate_gradient(np.diag(diagonal), [-1.0, -1.0])
+
+    @pytest.mark.filterwarnings("error")  # refused by name, with no RuntimeWarning on the way
+    @pytest.mark.parametrize("p1, p0, message", [
+        (np.eye(2), [1e200, 1.0], r"\|\|p0\|\| = inf is not finite"),
+        (1e300 * np.eye(2), [1e10, 1.0], r"p @ p1 @ p = inf is not finite at iteration 0"),
+        (np.diag([1e-300, 1.0]), [-1e150, -1e140], r"r @ r = inf is not finite at iteration 0"),
+        (np.diag([1e-300]), [-1e150], r"solution x is not finite after 1 iterations"),
+    ], ids=["norm", "curvature", "residual", "solution"])
+    def test_overflow_rejected(self, p1, p0, message):
+        with pytest.raises(ValueError, match=message):
+            conjugate_gradient(p1, p0)
