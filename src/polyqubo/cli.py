@@ -18,11 +18,8 @@ import re
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .compiler import compile_pubo, quadratize
-from .encoding import decode, from_range
+from .encoding import from_range
 from .linsys import (
     ConditionedSpec,
     SWEEP_COLUMNS,
@@ -35,7 +32,6 @@ from .linsys import (
 )
 from .polysys import chi_squared, load_system
 from .regression import (
-    fit_qubo,
     generate_dataset,
     gls_objective,
     load_dataset_csv,
@@ -43,15 +39,11 @@ from .regression import (
     polynomial_basis,
     save_dataset_csv,
 )
-from .solvers import AnnealSchedule, check_enumerable, conjugate_gradient, solve
+from .solvers import AnnealSchedule, SolverError, solve
 
 
 class ConfigError(Exception):
     """Bad flags or malformed input; maps to exit code 1."""
-
-
-class SolverError(Exception):
-    """Backend failed to produce a result; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,8 +141,8 @@ def _read_or_refuse(args) -> None:
 
 def _solver_args(args) -> dict:
     """The keyword arguments a command passes on to :func:`solve`; a flag its
-    backend does not read is None, and leaves solve's default in place."""
-    flags = {k: getattr(args, k) for k in ("reads", "sweeps", "seed")}
+    command or backend does not read is None, and leaves solve's default in place."""
+    flags = {k: getattr(args, k, None) for k in ("reads", "sweeps", "seed", "aux", "penalty")}
     schedule = AnnealSchedule(t_hot=args.t_hot, t_cold=args.t_cold)
     return {**{k: v for k, v in flags.items() if v is not None}, "schedule": schedule}
 
@@ -273,40 +265,20 @@ def _cmd_solve(args) -> dict:
     if (linear or args.backend == "cg") and system.degree != 1:
         raise ConfigError(f"{args.command} --backend {args.backend} needs a degree-1 system, "
                           f"got degree {system.degree}")
-    report = {"config": _echo_config(args)}
-    if args.backend == "cg":
-        x, report["solver"] = _cg(system)
-    else:
-        enc = _encoding_for(args, system.num_variables)
-        if args.backend == "brute":  # refuse before compiling; solve checks the auxiliaries
-            check_enumerable(enc.num_bits)
-        pubo = compile_pubo(system, enc)
-        quad = {k: v for k, v in vars(args).items() if k in _QUADRATIZE}  # none in solve-linear
-        qm = quadratize(pubo, **quad)
-        bits, energy, report["solver"] = solve(qm, args.backend, **_solver_args(args))
-        x = decode(enc, bits[: enc.num_bits])
-        report["problem"] = {"bits": qm.num_logical, "auxiliaries": qm.num_aux,
-                             "penalty": qm.penalty}
-        if not linear:
-            report["problem"]["pubo_terms"] = len(pubo.coeffs)
-        report["energy"] = float(energy)
-    report["solution"] = x.tolist()
+    enc = None if args.backend == "cg" else _encoding_for(args, system.num_variables)
+    result = solve(system, enc, args.backend, **_solver_args(args))
+    report = {"config": _echo_config(args), "solver": result.solver,
+              "solution": result.x.tolist()}
+    if result.problem:
+        report["problem"], report["energy"] = result.problem, result.energy
+        if linear:
+            del report["problem"]["pubo_terms"]
     if linear or args.backend == "cg":
-        report["relative_residual"] = relative_residual(system.coeffs[1], system.coeffs[0], x)
+        report["relative_residual"] = relative_residual(system.coeffs[1], system.coeffs[0],
+                                                        result.x)
     else:
-        report["chi_squared"] = float(chi_squared(system, x))
+        report["chi_squared"] = float(chi_squared(system, result.x))
     return report
-
-
-def _cg(system) -> tuple[np.ndarray, dict]:
-    """Conjugate-gradient root of a degree-1 system and its solver block."""
-    report = conjugate_gradient(system.coeffs[1], system.coeffs[0])
-    if not report.converged:
-        raise SolverError(
-            f"conjugate gradient did not converge in {report.iterations} iterations "
-            f"(residual norm ratio {report.residual_norm_ratio:.3e})"
-        )
-    return report.solution, {"backend": "cg", "iterations": report.iterations}
 
 
 def _cmd_regress(args) -> dict:
@@ -323,19 +295,14 @@ def _cmd_regress(args) -> dict:
         except OSError as err:
             raise ConfigError(f"cannot write data {args.dump_data}: {err.strerror or err}") from err
     basis = polynomial_basis(data.x_grid, int(degree))
-    report = {"config": _echo_config(args)}
-    if args.backend == "cg":
-        params, report["solver"] = _cg(normal_equations(data, basis))
-        gls_rss = gls_objective(data, basis, params)
-    else:
-        enc = _encoding_for(args, basis.num_params)
-        fit = fit_qubo(data, basis, enc, backend=args.backend, **_solver_args(args))
-        params, gls_rss, report["solver"] = fit.params, fit.gls_rss, fit.solver
-        report["problem"] = {"bits": enc.num_bits, "auxiliaries": 0, "penalty": 0.0}
-        report["bits"] = "".join(str(int(b)) for b in fit.bits)
-        report["qubo_energy"] = fit.qubo_energy
-    report["parameters"] = params.tolist()
-    report["gls_rss"] = gls_rss
+    enc = None if args.backend == "cg" else _encoding_for(args, basis.num_params)
+    result = solve(normal_equations(data, basis), enc, args.backend, **_solver_args(args))
+    report = {"config": _echo_config(args), "solver": result.solver,
+              "parameters": result.x.tolist(), "gls_rss": gls_objective(data, basis, result.x)}
+    if result.problem:
+        report["problem"], report["qubo_energy"] = result.problem, result.energy
+        del report["problem"]["pubo_terms"]
+        report["bits"] = "".join(str(int(b)) for b in result.bits)
     return report
 
 

@@ -26,9 +26,10 @@ both: a bilinear form over products of term halves, a table built on first
 use by one scatter over the plan's or the matrix's halves (other polynomials
 group theirs), which gives a state the same energy alone as in any batch.
 
-Degree-1 systems take the same compiler (:func:`compile_linear_qubo`): their
-PUBO terms have at most two bits, so quadratization adds no auxiliaries, and
-the QUBO keeps that PUBO as its view.
+Degree-1 systems take the same compiler: their PUBO terms have at most two
+bits, so quadratization adds no auxiliaries, and the QUBO keeps that PUBO as
+its view.  :func:`~polyqubo.solvers.solve` runs these stages for every system;
+:func:`compile_linear_qubo` runs them for a caller that wants the QUBO itself.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class PseudoBooleanPolynomial:
             if bad.any():
                 first = int(np.argmax(bad))
                 term = list(self.terms)[first]
-                raise ValueError(f"term {term} has non-finite coefficient {self.coeffs[first]!r}")
+                raise ValueError(f"term {term} has non-finite coefficient {self.coeffs[first]}")
             if not np.isfinite(self.offset):
                 raise ValueError(f"offset {self.offset!r} is not finite")
             raise _overflow(bound)
@@ -172,7 +173,7 @@ class QuboMatrix:
         if not math.isfinite(bound):
             if not np.all(np.isfinite(matrix)):
                 i, j = np.argwhere(~np.isfinite(matrix))[0]
-                raise ValueError(f"matrix entry ({i}, {j}) is {matrix[i, j]!r}, not finite")
+                raise ValueError(f"matrix entry ({i}, {j}) is {matrix[i, j]}, not finite")
             if math.isfinite(offset):
                 raise _overflow(bound)
         if not (math.isfinite(offset) and math.isfinite(penalty)):

@@ -131,7 +131,7 @@ def from_range(lo, hi, bits: int, num_vars: int | None = None) -> BitEncoding:
         bad = int(np.argmax(hi <= lo))
         raise ValueError(
             f"range for variable {bad} is empty or inverted: "
-            f"lo={lo[bad]!r}, hi={hi[bad]!r}"
+            f"lo={lo[bad]}, hi={hi[bad]}"
         )
     if int(bits) < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")

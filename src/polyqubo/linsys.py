@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compiler import compile_linear_qubo
 from .encoding import BitEncoding, decode, from_range, nearest_bits, refine
 from .polysys import PolynomialSystem
 from .solvers import AnnealSchedule, check_enumerable, conjugate_gradient, solve
@@ -168,13 +167,10 @@ def run_sweep(
     """
     if kind not in _SWEEP_DEFAULTS:
         raise ValueError(f"unknown sweep kind {kind!r}; use size, condition, or precision")
-    fixed = dict(_SWEEP_DEFAULTS[kind])
-    if size is not None:
-        fixed["size"] = size
-    if kappa is not None:
-        fixed["kappa"] = kappa
-    if bits is not None:
-        fixed["bits"] = bits
+    if backend == "cg":  # a point's row is its QUBO winner's
+        raise ValueError("run_sweep takes backend 'brute' or 'anneal', not 'cg'")
+    given = {"size": size, "kappa": kappa, "bits": bits}
+    fixed = {**_SWEEP_DEFAULTS[kind], **{k: v for k, v in given.items() if v is not None}}
 
     swept = {"size": "size", "condition": "kappa", "precision": "bits"}[kind]
     points = [{**fixed, swept: value} for value in values]
@@ -190,16 +186,13 @@ def run_sweep(
         p0 = make_rhs(n)
         lo, hi = solution_range(p1, p0)
         enc = from_range(lo, hi, int(point["bits"]), num_vars=n)
-        qm = compile_linear_qubo(PolynomialSystem([p0, p1]), enc)
-        bits_won, energy, solver = solve(
-            qm, backend, reads=reads, sweeps=sweeps, seed=seed + index, schedule=schedule
-        )
-        x = decode(enc, bits_won[: enc.num_bits])
+        result = solve(PolynomialSystem([p0, p1]), enc, backend, reads=reads, sweeps=sweeps,
+                       seed=seed + index, schedule=schedule)
         rows.append({
             "param": value,
-            "min_energy": float(energy),
-            "rel_residual": relative_residual(p1, p0, x),
-            "hit_fraction": solver.get("ground_fraction"),
+            "min_energy": result.energy,
+            "rel_residual": relative_residual(p1, p0, result.x),
+            "hit_fraction": result.solver.get("ground_fraction"),
             "forward_error_residual": (
                 forward_error_minimum(p1, p0, enc)[1] if kind != "condition" else None
             ),
@@ -297,18 +290,15 @@ def iterate_solve(
         raise ValueError(f"iterative refinement needs bits >= 2 to shrink the window, got {bits}")
     if num_iters < 1:
         raise ValueError(f"iteration count num_iters must be >= 1, got {num_iters}")
-    p1 = np.asarray(p1, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    n = p0.shape[0]
+    if backend == "cg":  # each round decodes a QUBO winner
+        raise ValueError("iterate_solve takes backend 'brute' or 'anneal', not 'cg'")
     system = PolynomialSystem([p0, p1])
-    enc = from_range(initial_lo, initial_hi, bits, num_vars=n)
+    enc = from_range(initial_lo, initial_hi, bits, num_vars=system.num_variables)
     steps = []
     for iteration in range(num_iters):
-        qm = compile_linear_qubo(system, enc)
-        bits_won, _, solver = solve(
-            qm, backend, reads=reads, sweeps=sweeps, seed=seed + iteration, schedule=schedule
-        )
-        x = decode(enc, bits_won)
+        result = solve(system, enc, backend, reads=reads, sweeps=sweeps, seed=seed + iteration,
+                       schedule=schedule)
+        x = result.x
         on_boundary = bool(
             np.any(np.isclose(x, enc.lo, rtol=0, atol=1e-12))
             or np.any(np.isclose(x, enc.hi, rtol=0, atol=1e-12))
@@ -316,11 +306,11 @@ def iterate_solve(
         steps.append(
             IterationStep(
                 encoding=enc,
-                bits=bits_won,
+                bits=result.bits,
                 x=x,
                 rel_residual=relative_residual(p1, p0, x),
-                hit_fraction=solver.get("ground_fraction"),
-                reads=solver.get("reads", 2**qm.num_bits),
+                hit_fraction=result.solver.get("ground_fraction"),
+                reads=result.solver.get("reads", 2**enc.num_bits),
                 recentered=on_boundary,
             )
         )

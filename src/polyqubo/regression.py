@@ -5,8 +5,8 @@ grid turn into the degree-1 normal-equation system
 
     (F^T S^-1 F) p - F^T S^-1 y = 0
 
-whose root is the GLS estimator.  That system feeds the linear QUBO
-compiler, so annealing over a bit-encoded parameter grid performs the fit.
+whose root is the GLS estimator.  That system goes through :func:`solve`,
+so annealing over a bit-encoded parameter grid performs the fit.
 The inverse covariance is never formed: with S = L L^T (Cholesky), one solve
 whitens [W | w_y] = L^-1 [F | y], so the system reads W^T W p - W^T w_y = 0,
 and a residual r weighs r^T S^-1 r = ||L^-1 r||^2.
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compiler import compile_linear_qubo
-from .encoding import BitEncoding, decode
+from .encoding import BitEncoding
 from .polysys import PolynomialSystem
 from .solvers import AnnealSchedule, solve
 
@@ -175,16 +174,18 @@ def generate_dataset(
 class FitResult:
     """Fitted parameters plus the energies needed to interpret them.
 
-    ``qubo_energy`` is the solver's objective at the winner (the squared
-    normal-equation residual, offset carried); ``gls_rss`` is the weighted
-    residual sum of squares of the fit itself, constant term included, so its
-    minimum over the grid is the true GLS residual.  ``solver`` is the
-    solver block :func:`~polyqubo.solvers.solve` reports.
+    ``qubo_energy`` is the objective brute and anneal minimise at the winner:
+    the squared normal-equation residual, offset carried.  ``gls_rss`` is the
+    weighted residual sum of squares of the fit, constant term included.  The
+    two differ off the GLS root, so the winner's ``gls_rss`` need not be the
+    grid's least: noiseless, at the CLI's default 2 bits over [-1, 1], the
+    winner (-1, 1, 1) has 181656.02 and (1, 1, 1) has 181641.85.  ``solver``
+    is :func:`solve`'s solver block; ``bits`` and ``qubo_energy`` are None for cg.
     """
 
     params: np.ndarray
-    bits: np.ndarray
-    qubo_energy: float
+    bits: np.ndarray | None
+    qubo_energy: float | None
     gls_rss: float
     solver: dict
 
@@ -200,11 +201,10 @@ def fit_qubo(
     seed: int = 0,
     schedule: AnnealSchedule | None = None,
 ) -> FitResult:
-    """Fit by compiling the normal equations to a QUBO and minimizing it.
+    """Fit by solving the normal equations with :func:`~polyqubo.solvers.solve`.
 
-    ``backend`` is ``"brute"`` (exact) or ``"anneal"`` (see
-    :func:`~polyqubo.solvers.solve`); the best sampled state decodes to the
-    fitted parameters.
+    ``backend`` is ``"brute"`` (exact), ``"anneal"`` or ``"cg"``; the point
+    it finds is the fitted parameters.
     """
     system = normal_equations(data, basis)
     if enc.num_vars != basis.num_params:
@@ -212,18 +212,9 @@ def fit_qubo(
             f"encoding covers {enc.num_vars} variables, basis has "
             f"{basis.num_params} parameters"
         )
-    qm = compile_linear_qubo(system, enc)
-    bits, energy, solver = solve(
-        qm, backend, reads=reads, sweeps=sweeps, seed=seed, schedule=schedule
-    )
-    params = decode(enc, bits)
-    return FitResult(
-        params=params,
-        bits=bits,
-        qubo_energy=float(energy),
-        gls_rss=gls_objective(data, basis, params),
-        solver=solver,
-    )
+    result = solve(system, enc, backend, reads=reads, sweeps=sweeps, seed=seed, schedule=schedule)
+    return FitResult(result.x, result.bits, result.energy, gls_objective(data, basis, result.x),
+                     result.solver)
 
 
 def save_dataset_csv(data: RegressionDataset, path, cov_path=None) -> None:

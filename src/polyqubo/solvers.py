@@ -35,8 +35,8 @@ of squares.
 * :func:`conjugate_gradient` — classical iterative reference for symmetric
   positive-definite linear systems.
 
-:func:`solve` is the one place that picks ``"brute"`` or ``"anneal"`` by name,
-and the one place that knows what each reports.
+:func:`solve` is the one place that takes a system to its decoded point: it
+picks ``"brute"``, ``"anneal"`` or ``"cg"`` by name, and knows what each reports.
 """
 
 from __future__ import annotations
@@ -51,9 +51,13 @@ from .compiler import (
     _BLOCK_FLOATS,
     PseudoBooleanPolynomial,
     QuboMatrix,
+    compile_pubo,
     pubo_energy,
+    quadratize,
     qubo_energy,
 )
+from .encoding import BitEncoding, decode
+from .polysys import PolynomialSystem
 
 __all__ = [
     "BruteForceResult",
@@ -61,11 +65,13 @@ __all__ = [
     "SampleRecord",
     "AnnealSchedule",
     "CgReport",
+    "SolveResult",
+    "SolverError",
     "check_enumerable",
     "brute_force",
     "simulated_anneal",
-    "solve",
     "conjugate_gradient",
+    "solve",
 ]
 
 _ENUMERATION_LIMIT = 24  # brute_force enumerates objectives of at most this many bits
@@ -246,7 +252,7 @@ class AnnealSchedule:
         if t_cold is None:
             t_cold = 1e-3 * float(mags.min()) if mags.size else 1e-3
         if not 0 < t_cold <= t_hot < np.inf:
-            raise ValueError(f"bad temperature ladder: t_hot={t_hot!r}, t_cold={t_cold!r}")
+            raise ValueError(f"bad temperature ladder: t_hot={t_hot}, t_cold={t_cold}")
         return (t_hot, t_cold)
 
     def temperatures(self, qm: QuboMatrix, sweeps: int) -> np.ndarray:
@@ -385,39 +391,6 @@ def simulated_anneal(
     return SampleSet(records, total_reads=reads, rng_seed=seed)
 
 
-def solve(
-    qm: QuboMatrix,
-    backend: str,
-    *,
-    reads: int = 1000,
-    sweeps: int = 500,
-    seed: int = 0,
-    schedule: AnnealSchedule | None = None,
-) -> tuple[np.ndarray, float, dict]:
-    """Minimize a QUBO with the backend named ``"brute"`` or ``"anneal"``.
-
-    Returns the winning bits (uint8), their energy and the report's solver
-    block: ``{"backend": "brute", "num_ground"}`` for enumeration, or
-    ``{"backend": "anneal", "reads", "sweeps", "seed", "t_hot", "t_cold",
-    "ground_fraction"}`` with the ladder ``schedule`` resolves on ``qm``.
-    The keyword arguments go to :func:`simulated_anneal`; enumeration
-    ignores them.
-    """
-    if backend == "brute":
-        result = brute_force(qm)
-        return result.bits, result.energy, {"backend": "brute", "num_ground": result.num_ground}
-    if backend == "anneal":
-        schedule = schedule or AnnealSchedule()
-        samples = simulated_anneal(qm, reads=reads, sweeps=sweeps, seed=seed, schedule=schedule)
-        t_hot, t_cold = schedule.resolve(qm)
-        solver = {
-            "backend": "anneal", "reads": reads, "sweeps": sweeps, "seed": seed,
-            "t_hot": t_hot, "t_cold": t_cold, "ground_fraction": samples.ground_fraction(),
-        }
-        return np.array(samples.best.bits, dtype=np.uint8), samples.best.energy, solver
-    raise ValueError(f"unknown backend {backend!r}; use 'brute' or 'anneal'")
-
-
 @dataclass(frozen=True, eq=False)
 class CgReport:
     """Conjugate-gradient outcome for an SPD solve; ``residual_norm_ratio`` is ||r|| / ||b||."""
@@ -497,3 +470,81 @@ def conjugate_gradient(
         raise ValueError(f"solution x is not finite after {k} iterations")
     ratio = float(np.sqrt(rs) / b_norm)
     return CgReport(x, k, ratio, bool(ratio <= tol))
+
+
+class SolverError(Exception):
+    """A backend that ran but gave no answer, such as CG short of its tolerance."""
+
+
+@dataclass(frozen=True, eq=False)
+class SolveResult:
+    """A :func:`solve` run's point ``x``, its winner's logical ``bits`` and ``energy``,
+    and the report's ``solver`` and ``problem`` blocks; ``bits``, ``energy`` and
+    ``problem`` are None for ``"cg"``."""
+
+    x: np.ndarray
+    bits: np.ndarray | None
+    energy: float | None
+    solver: dict
+    problem: dict | None
+
+
+def solve(
+    system: PolynomialSystem,
+    enc: BitEncoding | None,
+    backend: str,
+    *,
+    reads: int = 1000,
+    sweeps: int = 500,
+    seed: int = 0,
+    schedule: AnnealSchedule | None = None,
+    aux: str = "lazy",
+    penalty: float | None = None,
+) -> SolveResult:
+    """Solve ``system`` with the backend named ``"brute"``, ``"anneal"`` or ``"cg"``.
+
+    ``"brute"`` and ``"anneal"`` minimise :func:`quadratize` (``aux``, ``penalty``)
+    of :func:`compile_pubo` on ``enc`` and decode the winner; ``"brute"`` refuses
+    an ``enc`` too large to enumerate before compiling.  Their solver blocks are
+    ``{"backend": "brute", "num_ground"}`` and ``{"backend": "anneal", "reads",
+    "sweeps", "seed", "t_hot", "t_cold", "ground_fraction"}``, the ladder that
+    ``schedule`` resolves on the QUBO.  ``"cg"`` runs :func:`conjugate_gradient`
+    on a degree-1 system, ignores ``enc``, reports ``{"backend": "cg",
+    "iterations"}``, and raises :class:`SolverError` if it does not converge.
+    """
+    if backend == "cg":
+        if system.degree != 1:
+            raise ValueError(f"backend 'cg' needs a degree-1 system, got degree {system.degree}")
+        report = conjugate_gradient(system.coeffs[1], system.coeffs[0])
+        if not report.converged:
+            raise SolverError(
+                f"conjugate gradient did not converge in {report.iterations} iterations "
+                f"(residual norm ratio {report.residual_norm_ratio:.3e})"
+            )
+        return SolveResult(report.solution, None, None,
+                           {"backend": "cg", "iterations": report.iterations}, None)
+    if backend not in ("brute", "anneal"):
+        raise ValueError(f"unknown backend {backend!r}; use 'brute', 'anneal' or 'cg'")
+    if enc is None:
+        raise ValueError(f"backend {backend!r} needs an encoding, got None")
+    if backend == "brute":  # brute_force checks the auxiliaries too
+        check_enumerable(enc.num_bits)
+    pubo = compile_pubo(system, enc)
+    qm = quadratize(pubo, penalty, aux)
+    if backend == "brute":
+        result = brute_force(qm)
+        bits, energy = result.bits, result.energy
+        solver = {"backend": "brute", "num_ground": result.num_ground}
+    else:
+        schedule = schedule or AnnealSchedule()
+        samples = simulated_anneal(qm, reads=reads, sweeps=sweeps, seed=seed, schedule=schedule)
+        t_hot, t_cold = schedule.resolve(qm)
+        solver = {
+            "backend": "anneal", "reads": reads, "sweeps": sweeps, "seed": seed,
+            "t_hot": t_hot, "t_cold": t_cold, "ground_fraction": samples.ground_fraction(),
+        }
+        bits, energy = np.array(samples.best.bits, dtype=np.uint8), samples.best.energy
+    bits = bits[: enc.num_bits]
+    problem = {"bits": qm.num_logical, "auxiliaries": qm.num_aux, "penalty": qm.penalty,
+               "pubo_terms": len(pubo.coeffs)}
+    return SolveResult(decode(enc, bits), bits, float(energy), solver, problem)

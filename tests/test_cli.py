@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, REPO_ROOT
 from polyqubo import CgReport, chi_squared, load_system, save_system, PolynomialSystem
-from polyqubo import cli
+from polyqubo import cli, solvers
 from polyqubo.cli import main
 
 QUAD_FIXTURE = str(FIXTURE_DIR / "quadratic_2x2.json")
@@ -91,6 +91,19 @@ class TestSolvePoly:
                     "--seed", "3", "--output", out]) == 0
         report = json.loads(out.read_text())
         golden = json.loads((GOLDEN_DIR / "quadratic_2x2_anneal_report.json").read_text())
+        del report["config"]["input"], golden["config"]["input"]
+        assert report.keys() == golden.keys()
+        for key in golden:
+            assert report[key] == golden[key], key
+
+    def test_worked_example_report_matches_golden(self, tmp_path):
+        # the paper's worked example: every logical pair gets an auxiliary,
+        # and enumeration finds the one ground state, the root (2, 3)
+        out = tmp_path / "report.json"
+        assert run(["solve-poly", QUAD_FIXTURE, "--lo", "0", "--hi", "3", "--bits", "2",
+                    "--aux", "all", "--output", out]) == 0
+        report = json.loads(out.read_text())
+        golden = json.loads((GOLDEN_DIR / "quadratic_2x2_brute_aux_all_report.json").read_text())
         del report["config"]["input"], golden["config"]["input"]
         assert report.keys() == golden.keys()
         for key in golden:
@@ -357,7 +370,7 @@ class TestErrorPaths:
     ):
         calls = []
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(cli, "conjugate_gradient", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(solvers, "conjugate_gradient", lambda *a, **k: calls.append(a))
         path = os.path.normpath(tmp_path / output)
         assert run(argv + ["--output", path]) == 1
         err = capsys.readouterr().err
@@ -455,7 +468,7 @@ class TestSolverFlags:
         self, tmp_path, capsys, monkeypatch
     ):
         calls = []
-        monkeypatch.setattr(cli, "compile_pubo", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(solvers, "compile_pubo", lambda *a, **k: calls.append(a))
         out = tmp_path / "report.json"
         assert run(["solve-poly", QUAD_FIXTURE, "--lo", "0", "--hi", "3", "--bits", "30",
                     "--output", out]) == 1
@@ -614,7 +627,7 @@ class TestCgPaths:
         def stalled(p1, p0):
             return CgReport(np.zeros(len(p0)), 7, 0.5, False)
 
-        monkeypatch.setattr(cli, "conjugate_gradient", stalled)
+        monkeypatch.setattr(solvers, "conjugate_gradient", stalled)
         out = tmp_path / "report.json"
         argv = ["solve-linear", LINEAR, "--backend", "cg"]
         assert run(argv + ["--output", out]) == 2

@@ -81,6 +81,11 @@ class TestFromRange:
         with pytest.raises(ValueError, match="variable 1"):
             from_range([0.0, 1.0], [1.0, 0.5], 2)
 
+    def test_empty_range_names_plain_floats(self):
+        # the ends are numpy scalars; the message prints them as plain floats
+        with pytest.raises(ValueError, match=r"lo=1\.0, hi=1\.0$"):
+            from_range(1, 1, 2)
+
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError, match="bits"):
             from_range([0.0], [1.0], 0)

@@ -244,6 +244,11 @@ class TestRunSweep:
             run_sweep(kind, values, backend="brute", seed=0, **fixed)
         assert calls == []
 
+    def test_cg_backend_refused(self):
+        # a row reports its QUBO winner's energy, which cg has not
+        with pytest.raises(ValueError, match="run_sweep takes backend 'brute' or 'anneal'"):
+            run_sweep("size", [2], backend="cg")
+
     def test_oversized_anneal_point_allowed(self):
         rows = run_sweep("size", [13], backend="anneal", reads=2, sweeps=1, seed=0)
         assert len(rows) == 1
@@ -315,6 +320,11 @@ class TestIterateSolve:
         with pytest.raises(ValueError, match="num_iters must be >= 1, got"):
             iterate_solve(np.eye(2), -np.ones(2), 3, num_iters, backend="brute")
         assert calls == []
+
+    def test_cg_backend_refused(self):
+        # each step records its QUBO winner's bits, and cg has none
+        with pytest.raises(ValueError, match="iterate_solve takes backend 'brute' or 'anneal'"):
+            iterate_solve(np.eye(2), -np.ones(2), 3, 2, backend="cg")
 
     def test_anneal_backend_runs(self):
         p1 = make_conditioned_matrix(ConditionedSpec(3, 1.5, seed=2))

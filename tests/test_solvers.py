@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from conftest import all_bitstrings, dense_pubo, sample_key, planted_pubo, random_encoding, random_system
 from polyqubo import (
     AnnealSchedule,
+    CgReport,
     PolynomialSystem,
     QuboMatrix,
     SampleRecord,
     SampleSet,
+    SolverError,
     brute_force,
     compile_linear_qubo,
     compile_pubo,
@@ -798,48 +800,120 @@ class TestSimulatedAnneal:
 
 
 class TestSolve:
-    def test_brute_returns_enumeration_result(self, quad_qubo):
-        bits, energy, solver = solve(quad_qubo, "brute", reads=1, sweeps=1, seed=0)
-        exact = brute_force(quad_qubo)
-        assert solver == {"backend": "brute", "num_ground": exact.num_ground}
-        assert bits.dtype == np.uint8
-        np.testing.assert_array_equal(bits, exact.bits)
-        assert energy == exact.energy
+    def test_brute_returns_enumeration_result(self, quad_system, quad_encoding):
+        result = solve(quad_system, quad_encoding, "brute", aux="all")
+        pubo = compile_pubo(quad_system, quad_encoding)
+        qm = quadratize(pubo, aux="all")
+        exact = brute_force(qm)
+        assert result.solver == {"backend": "brute", "num_ground": exact.num_ground}
+        assert result.bits.dtype == np.uint8
+        np.testing.assert_array_equal(result.bits, exact.bits[:4])
+        assert result.energy == exact.energy
+        np.testing.assert_array_equal(result.x, [2.0, 3.0])
+        assert result.problem == {"bits": 4, "auxiliaries": 6, "penalty": qm.penalty,
+                                  "pubo_terms": len(pubo.coeffs)}
 
-    def test_anneal_passes_schedule_through(self, quad_qubo):
+    def test_aux_and_penalty_reach_quadratize(self, quad_system, quad_encoding):
+        for aux, penalty, num_aux in (("lazy", None, 4), ("lazy", 5000.0, 4), ("all", 7.5, 6)):
+            result = solve(quad_system, quad_encoding, "brute", aux=aux, penalty=penalty)
+            assert result.problem["auxiliaries"] == num_aux
+            assert result.problem["penalty"] == (23761.0 if penalty is None else penalty)
+
+    def test_anneal_passes_schedule_through(self, quad_system, quad_encoding):
+        qm = quadratize(compile_pubo(quad_system, quad_encoding), aux="all")
         for schedule in (AnnealSchedule(t_hot=1e-9, t_cold=1e-12), None):
             with mock.patch.object(solvers, "simulated_anneal", wraps=simulated_anneal) as spy:
-                bits, energy, solver = solve(
-                    quad_qubo, "anneal", reads=50, sweeps=20, seed=4, schedule=schedule
-                )
+                result = solve(quad_system, quad_encoding, "anneal", reads=50, sweeps=20,
+                               seed=4, schedule=schedule, aux="all")
             ladder = schedule or AnnealSchedule()
             assert spy.call_args.kwargs["schedule"] == ladder
-            direct = simulated_anneal(quad_qubo, reads=50, sweeps=20, seed=4, schedule=ladder)
-            t_hot, t_cold = ladder.resolve(quad_qubo)
-            assert solver == {
+            direct = simulated_anneal(qm, reads=50, sweeps=20, seed=4, schedule=ladder)
+            t_hot, t_cold = ladder.resolve(qm)
+            assert result.solver == {
                 "backend": "anneal", "reads": 50, "sweeps": 20, "seed": 4,
                 "t_hot": t_hot, "t_cold": t_cold, "ground_fraction": direct.ground_fraction(),
             }
-            assert bits.dtype == np.uint8
-            assert tuple(bits) == direct.best.bits
-            assert energy == direct.best.energy
+            assert result.bits.dtype == np.uint8
+            assert tuple(result.bits) == direct.best.bits[:4]
+            assert result.energy == direct.best.energy
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.sampled_from([1, 2]),
+        num_vars=st.integers(1, 4),
+        bits=st.integers(1, 3),
+        aux=st.sampled_from(["lazy", "all"]),
+    )
+    def test_matches_the_stages(self, seed, degree, num_vars, bits, aux):
+        # solve is compile_pubo, quadratize, then brute_force or simulated_anneal
+        # on that QUBO, decoded; on degree 1 with lazy auxiliaries that QUBO is
+        # compile_linear_qubo's; at most 12 logical bits
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, num_vars, num_vars, degree)
+        enc = random_encoding(rng, num_vars, min(bits, 12 // num_vars))
+        qms = [quadratize(compile_pubo(system, enc), aux=aux)]
+        if degree == 1 and aux == "lazy":
+            qms.append(compile_linear_qubo(system, enc))
+        logical = enc.num_bits
+        anneal = {"reads": 20, "sweeps": 10, "seed": seed % 1000}
+        sampled = solve(system, enc, "anneal", aux=aux, **anneal)
+        np.testing.assert_array_equal(sampled.x, decode(enc, sampled.bits))
+        for qm in qms:
+            direct = simulated_anneal(qm, **anneal)
+            assert tuple(sampled.bits) == direct.best.bits[:logical]
+            assert sampled.energy == direct.best.energy
+            assert sampled.solver["ground_fraction"] == direct.ground_fraction()
+        if qms[0].num_bits > 24:  # refused by the same check as brute_force's
+            with pytest.raises(ValueError, match=f"has {qms[0].num_bits} bits"):
+                solve(system, enc, "brute", aux=aux)
+            return
+        exact = solve(system, enc, "brute", aux=aux)
+        for qm in qms:
+            direct = brute_force(qm)
+            assert exact.bits.tobytes() == direct.bits[:logical].tobytes()
+            assert (exact.energy, exact.solver["num_ground"]) == (direct.energy, direct.num_ground)
 
     def test_backends_agree_on_energy_when_bits_agree(self):
         # both report a winner's energy evaluated alone (seed 9 differed)
         matched = 0
         for seed in range(12):
-            qm = compile_linear_qubo(*conditioned_system(seed))
-            exact = solve(qm, "brute", reads=1, sweeps=1, seed=0)
-            sampled = solve(qm, "anneal", reads=200, sweeps=100, seed=0)
-            if np.array_equal(exact[0], sampled[0]):
+            system, enc = conditioned_system(seed)
+            exact = solve(system, enc, "brute")
+            sampled = solve(system, enc, "anneal", reads=200, sweeps=100, seed=0)
+            if np.array_equal(exact.bits, sampled.bits):
                 matched += 1
-                assert exact[1] == sampled[1]
+                assert exact.energy == sampled.energy
         assert matched >= 6
 
-    @pytest.mark.parametrize("backend", ["cg", "quantum", "Brute"])
-    def test_unknown_backend_rejected(self, quad_qubo, backend):
-        with pytest.raises(ValueError, match="'brute' or 'anneal'"):
-            solve(quad_qubo, backend, reads=1, sweeps=1, seed=0)
+    def test_cg_solves_a_degree_one_system(self):
+        system, enc = conditioned_system(3)
+        result = solve(system, enc, "cg")
+        report = conjugate_gradient(system.coeffs[1], system.coeffs[0])
+        np.testing.assert_array_equal(result.x, report.solution)
+        assert result.solver == {"backend": "cg", "iterations": report.iterations}
+        assert result.bits is result.energy is result.problem is None
+
+    def test_cg_refuses_degree_two_by_name(self, quad_system, quad_encoding):
+        with pytest.raises(ValueError, match="'cg' needs a degree-1 system, got degree 2"):
+            solve(quad_system, quad_encoding, "cg")
+
+    def test_unconverged_cg_raises_solver_error(self, monkeypatch):
+        system, _ = conditioned_system(0)
+        monkeypatch.setattr(solvers, "conjugate_gradient",
+                            lambda p1, p0: CgReport(np.zeros(4), 7, 0.5, False))
+        with pytest.raises(SolverError, match="did not converge in 7 iterations"):
+            solve(system, None, "cg")
+
+    @pytest.mark.parametrize("backend", ["brute", "anneal"])
+    def test_qubo_backends_need_an_encoding(self, quad_system, backend):
+        with pytest.raises(ValueError, match=f"backend '{backend}' needs an encoding"):
+            solve(quad_system, None, backend)
+
+    @pytest.mark.parametrize("backend", ["quantum", "Brute"])
+    def test_unknown_backend_rejected(self, quad_system, quad_encoding, backend):
+        with pytest.raises(ValueError, match="'brute', 'anneal' or 'cg'"):
+            solve(quad_system, quad_encoding, backend)
 
 
 class TestAnnealSchedule:
