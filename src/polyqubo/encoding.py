@@ -151,8 +151,10 @@ def nearest_bits(enc: BitEncoding, x) -> np.ndarray:
         raise ValueError(
             f"point has shape {x.shape}, encoding expects ({enc.num_vars},)"
         )
-    k = _grid_index(enc, x).astype(np.int64)
-    return ((k[:, None] >> np.arange(enc.bits)) & 1).astype(np.uint8).ravel()
+    k = _grid_index(enc, x)[:, None]
+    # bits of the float index; from 54 bits on, the top index 2^R - 1 rounds to 2^R
+    bits = np.where(k >= 2.0**enc.bits - 1, 1.0, np.floor(k / enc.weights) % 2)
+    return bits.astype(np.uint8).ravel()
 
 
 def refine(enc: BitEncoding, x_star) -> BitEncoding:

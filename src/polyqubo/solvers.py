@@ -37,6 +37,9 @@ of squares.
 
 :func:`solve` is the one place that takes a system to its decoded point: it
 picks ``"brute"``, ``"anneal"`` or ``"cg"`` by name, and knows what each reports.
+Its ``"brute"`` enumerates the compiled PUBO, so the one bit limit counts the
+encoding's logical bits; only the annealer needs a quadratization.  Its
+``"cg"`` refuses a fit whose residual certifies no digit of it.
 """
 
 from __future__ import annotations
@@ -503,14 +506,26 @@ def solve(
 ) -> SolveResult:
     """Solve ``system`` with the backend named ``"brute"``, ``"anneal"`` or ``"cg"``.
 
-    ``"brute"`` and ``"anneal"`` minimise :func:`quadratize` (``aux``, ``penalty``)
-    of :func:`compile_pubo` on ``enc`` and decode the winner; ``"brute"`` refuses
-    an ``enc`` too large to enumerate before compiling.  Their solver blocks are
-    ``{"backend": "brute", "num_ground"}`` and ``{"backend": "anneal", "reads",
-    "sweeps", "seed", "t_hot", "t_cold", "ground_fraction"}``, the ladder that
-    ``schedule`` resolves on the QUBO.  ``"cg"`` runs :func:`conjugate_gradient`
-    on a degree-1 system, ignores ``enc``, reports ``{"backend": "cg",
-    "iterations"}``, and raises :class:`SolverError` if it does not converge.
+    ``"brute"`` runs :func:`brute_force` on :func:`compile_pubo` of ``system`` on
+    ``enc``, so it enumerates the logical bits alone, and refuses an ``enc`` of
+    more than 24 bits before compiling.  The winner is the lowest logical state
+    integer among the exact ties of the PUBO energy, ``energy`` is
+    :func:`pubo_energy` of it, and its solver block is ``{"backend": "brute",
+    "num_ground"}``, the logical states that tie.  ``"anneal"`` runs
+    :func:`simulated_anneal` on :func:`quadratize` (``aux``, ``penalty``) of that
+    PUBO and reports ``{"backend": "anneal", "reads", "sweeps", "seed", "t_hot",
+    "t_cold", "ground_fraction"}``, the ladder that ``schedule`` resolves on the
+    QUBO.  Both decode the winner's logical bits.  Their problem block is
+    ``{"bits", "auxiliaries", "penalty", "pubo_terms"}``: the QUBO an annealer
+    faces.  Under ``"brute"`` a PUBO with a term of more than 4 bits has no
+    QUBO, so ``auxiliaries`` and ``penalty`` are None, and an ``aux`` other
+    than ``"lazy"`` or a ``penalty``, which only shape a QUBO, are refused.
+
+    ``"cg"`` runs :func:`conjugate_gradient` (tol 1e-6) on a degree-1 system,
+    ignores ``enc``, and reports ``{"backend": "cg", "iterations"}``.  It
+    raises :class:`SolverError` if CG does not converge, or if the fit is not
+    certified: ``cond(p1) * 1e-6 >= 1``, where the relative residual bound
+    of 1e-6 leaves no bound below 1 on the fit's relative error.
     """
     if backend == "cg":
         if system.degree != 1:
@@ -521,18 +536,30 @@ def solve(
                 f"conjugate gradient did not converge in {report.iterations} iterations "
                 f"(residual norm ratio {report.residual_norm_ratio:.3e})"
             )
+        cond = float(np.linalg.cond(system.coeffs[1]))
+        if cond * 1e-6 >= 1:
+            raise SolverError(
+                f"cond(p1) = {cond:.3e} times tol 1e-6 is >= 1, so conjugate gradient's "
+                "residual certifies no digit of the solution"
+            )
         return SolveResult(report.solution, None, None,
                            {"backend": "cg", "iterations": report.iterations}, None)
     if backend not in ("brute", "anneal"):
         raise ValueError(f"unknown backend {backend!r}; use 'brute', 'anneal' or 'cg'")
     if enc is None:
         raise ValueError(f"backend {backend!r} needs an encoding, got None")
-    if backend == "brute":  # brute_force checks the auxiliaries too
+    if backend == "brute":  # the one bit limit: brute_force enumerates the logical bits
         check_enumerable(enc.num_bits)
     pubo = compile_pubo(system, enc)
-    qm = quadratize(pubo, penalty, aux)
+    qm = None  # the QUBO of the problem block, where one exists
+    if backend == "anneal" or pubo.max_term_size <= 4:
+        qm = quadratize(pubo, penalty, aux)
+    elif aux != "lazy" or penalty is not None:
+        given = f"aux={aux!r}" if aux != "lazy" else f"penalty={penalty!r}"
+        raise ValueError(f"{given} shapes a QUBO, and backend 'brute' builds none "
+                         f"for a PUBO with terms of {pubo.max_term_size} bits")
     if backend == "brute":
-        result = brute_force(qm)
+        result = brute_force(pubo)
         bits, energy = result.bits, result.energy
         solver = {"backend": "brute", "num_ground": result.num_ground}
     else:
@@ -543,8 +570,8 @@ def solve(
             "backend": "anneal", "reads": reads, "sweeps": sweeps, "seed": seed,
             "t_hot": t_hot, "t_cold": t_cold, "ground_fraction": samples.ground_fraction(),
         }
-        bits, energy = np.array(samples.best.bits, dtype=np.uint8), samples.best.energy
-    bits = bits[: enc.num_bits]
-    problem = {"bits": qm.num_logical, "auxiliaries": qm.num_aux, "penalty": qm.penalty,
-               "pubo_terms": len(pubo.coeffs)}
+        bits = np.array(samples.best.bits[: enc.num_bits], dtype=np.uint8)
+        energy = samples.best.energy
+    problem = {"bits": enc.num_bits, "auxiliaries": None if qm is None else qm.num_aux,
+               "penalty": None if qm is None else qm.penalty, "pubo_terms": len(pubo.coeffs)}
     return SolveResult(decode(enc, bits), bits, float(energy), solver, problem)

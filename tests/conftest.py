@@ -58,16 +58,20 @@ def random_encoding(rng, num_vars, bits):
     return from_range(lo, hi, bits)
 
 
-def planted_pubo(rng, num_eq, num_vars, bits):
+def planted_system(rng, num_eq, num_vars, bits):
     """Integer-coefficient quadratic system with a root planted on the grid
-    [-2, 2] at ``bits`` bits per variable, compiled to its PUBO: the shape
-    of the seeded systems the benchmark's polynomial pipeline solves."""
+    [-2, 2] at ``bits`` bits per variable, with that encoding: the shape of
+    the seeded systems the benchmark's polynomial pipeline solves."""
     root = -2.0 + 4.0 / (2**bits - 1) * rng.integers(0, 2**bits, num_vars)
     lin = rng.integers(-3, 4, (num_eq, num_vars)).astype(float)
     quad = rng.integers(-3, 4, (num_eq, num_vars, num_vars)).astype(float)
     const = -(lin @ root + np.einsum("ijk,j,k->i", quad, root, root))
-    enc = from_range(-2.0, 2.0, bits, num_vars=num_vars)
-    return compile_pubo(PolynomialSystem([const, lin, quad]), enc)
+    return PolynomialSystem([const, lin, quad]), from_range(-2.0, 2.0, bits, num_vars=num_vars)
+
+
+def planted_pubo(rng, num_eq, num_vars, bits):
+    """:func:`planted_system` compiled to its PUBO."""
+    return compile_pubo(*planted_system(rng, num_eq, num_vars, bits))
 
 
 def dense_pubo(rng, num_bits, max_size):

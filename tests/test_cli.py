@@ -16,6 +16,7 @@ from polyqubo import cli, solvers
 from polyqubo.cli import main
 
 QUAD_FIXTURE = str(FIXTURE_DIR / "quadratic_2x2.json")
+CUBIC = str(FIXTURE_DIR / "cubic_2x2.json")  # a degree-3 system with the root (1, 2)
 LINEAR = str(FIXTURE_DIR / "linear_3x3.json")  # a 3-variable degree-1 system
 
 
@@ -108,6 +109,45 @@ class TestSolvePoly:
         assert report.keys() == golden.keys()
         for key in golden:
             assert report[key] == golden[key], key
+
+    def test_enumerates_the_logical_bits_alone(self, tmp_path):
+        # 8 logical bits, 34 once quadratized: brute enumerates the 8 alone
+        out = tmp_path / "report.json"
+        assert run(["solve-poly", QUAD_FIXTURE, "--lo", "0", "--hi", "3", "--bits", "4",
+                    "--output", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["solution"] == [2.0, 3.0]
+        assert report["solver"] == {"backend": "brute", "num_ground": 1}
+        assert report["problem"]["bits"] == 8 and report["problem"]["auxiliaries"] == 26
+
+    @pytest.mark.filterwarnings("error")
+    def test_cubic_solves_under_brute(self, tmp_path):
+        # terms of 6 bits: the PUBO is enumerated, and no QUBO exists to report
+        out = tmp_path / "report.json"
+        assert run(["solve-poly", CUBIC, "--lo", "0", "--hi", "7", "--bits", "3",
+                    "--output", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["solution"] == [1.0, 2.0]
+        assert report["energy"] == report["chi_squared"] == 0.0
+        assert report["solver"] == {"backend": "brute", "num_ground": 1}
+        assert report["problem"] == {"bits": 6, "auxiliaries": None, "penalty": None,
+                                     "pubo_terms": 63}
+
+    @pytest.mark.parametrize("flag, named", [(["--aux", "all"], "aux='all'"),
+                                             (["--penalty", "5"], "penalty=5.0")])
+    def test_cubic_refuses_qubo_flags_under_brute(self, tmp_path, capsys, flag, named):
+        out = tmp_path / "report.json"
+        assert run(["solve-poly", CUBIC, "--lo", "0", "--hi", "7", "--bits", "3", *flag,
+                    "--output", out]) == 1
+        assert f"{named} shapes a QUBO, and backend 'brute' builds none" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cubic_refused_by_anneal(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["solve-poly", CUBIC, "--lo", "0", "--hi", "7", "--bits", "3",
+                    "--backend", "anneal", "--output", out]) == 1
+        assert "term (0, 1, 2, 3, 4, 5) has 6 bits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_problem_summary_fields(self, tmp_path):
         out = tmp_path / "report.json"
@@ -334,9 +374,10 @@ class TestErrorPaths:
 
     @pytest.mark.filterwarnings("error")  # refused by name, with no RuntimeWarning on the way
     def test_overflowing_cg_refused(self, tmp_path, capsys):
-        # the normal equations of a degree-49 basis overflow p @ p1 @ p; degree 45's do not
+        # the normal equations of a degree-49 basis overflow p @ p1 @ p; degree 45's do
+        # not, but their condition number leaves the fit uncertified
         out = tmp_path / "report.json"
-        assert run(["regress", "--basis", "poly:45", "--backend", "cg", "--output", out]) == 0
+        assert run(["regress", "--basis", "poly:45", "--backend", "cg", "--output", out]) == 2
         assert run(["regress", "--basis", "poly:49", "--backend", "cg", "--output", out]) == 1
         assert "p @ p1 @ p = inf is not finite at iteration 0" in capsys.readouterr().err
 
@@ -643,6 +684,14 @@ class TestCgPaths:
             reports.append(json.loads(out.read_text()))
         assert reports[0]["solution"] == reports[1]["solution"]
         np.testing.assert_allclose(reports[0]["solution"], [0.5, -0.5, -2.0 / 3.0], rtol=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_uncertified_cg_fit_exits_2(self, tmp_path, capsys):
+        # converged, but cond(p1) ~ 5e13: a residual of 1e-6 bounds no digit of the fit
+        out = tmp_path / "report.json"
+        assert run(["regress", "--basis", "poly:5", "--backend", "cg", "--output", out]) == 2
+        assert "cond(p1) = 4.966e+13 times tol 1e-6 is >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_regress_cg_recovers_coefficients(self, tmp_path):
         out = tmp_path / "report.json"

@@ -211,6 +211,17 @@ class TestNearestBits:
         assert decode(enc, nearest_bits(enc, [1.4]))[0] == 1.0
         assert decode(enc, nearest_bits(enc, [1.6]))[0] == 2.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bits", [53, 54, 62, 63, 64])
+    def test_ends_at_wide_grids(self, bits):
+        # from 54 bits on, the top index 2^R - 1 rounds to 2^R as a double, whose
+        # low R bits are all zero; the top grid point's bits are all ones
+        enc = from_range(-1, 1, bits, num_vars=2)
+        np.testing.assert_array_equal(nearest_bits(enc, [-1.0, -2.0]), np.zeros(2 * bits))
+        np.testing.assert_array_equal(nearest_bits(enc, [2.0, 1.0 + 1e-9]), np.ones(2 * bits))
+        if bits > 53:  # the range's own ends, exactly
+            np.testing.assert_array_equal(decode(enc, nearest_bits(enc, [-1.0, 1.0])), [-1, 1])
+
 
 class TestValidation:
     def test_nonpositive_scale_rejected(self):

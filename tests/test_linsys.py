@@ -219,6 +219,14 @@ class TestRunSweep:
         slope = np.polyfit(sorted(rr), np.log10([rr[k] for k in sorted(rr)]), 1)[0]
         assert slope < -0.4
 
+    @pytest.mark.filterwarnings("error")
+    def test_precision_sweep_forward_error_past_53_bits(self):
+        # the grid point nearest the CG solution stays near it on grids too fine
+        # for an int64 or a double to hold every index
+        rows = run_sweep("precision", [20, 40, 53, 54, 60], backend="anneal", reads=1, sweeps=1)
+        errors = [row["forward_error_residual"] for row in rows]
+        assert max(errors[3:]) < 1e-25
+
     def test_anneal_sweep_reports_hit_fraction(self):
         rows = run_sweep(
             "size", [2, 3], backend="anneal", reads=200, sweeps=30, seed=0

@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_bitstrings, dense_pubo, sample_key, planted_pubo, random_encoding, random_system
+from conftest import (
+    all_bitstrings, dense_pubo, planted_pubo, planted_system, random_encoding, random_system,
+    sample_key,
+)
 from polyqubo import (
     AnnealSchedule,
     CgReport,
@@ -22,6 +25,7 @@ from polyqubo import (
     SampleSet,
     SolverError,
     brute_force,
+    chi_squared,
     compile_linear_qubo,
     compile_pubo,
     conjugate_gradient,
@@ -846,9 +850,9 @@ class TestSolve:
         aux=st.sampled_from(["lazy", "all"]),
     )
     def test_matches_the_stages(self, seed, degree, num_vars, bits, aux):
-        # solve is compile_pubo, quadratize, then brute_force or simulated_anneal
-        # on that QUBO, decoded; on degree 1 with lazy auxiliaries that QUBO is
-        # compile_linear_qubo's; at most 12 logical bits
+        # solve is compile_pubo, then brute_force on that PUBO, or quadratize and
+        # simulated_anneal, decoded; on degree 1 with lazy auxiliaries the QUBO
+        # is compile_linear_qubo's; at most 12 logical bits
         rng = np.random.default_rng(seed)
         system = random_system(rng, num_vars, num_vars, degree)
         enc = random_encoding(rng, num_vars, min(bits, 12 // num_vars))
@@ -864,15 +868,50 @@ class TestSolve:
             assert tuple(sampled.bits) == direct.best.bits[:logical]
             assert sampled.energy == direct.best.energy
             assert sampled.solver["ground_fraction"] == direct.ground_fraction()
-        if qms[0].num_bits > 24:  # refused by the same check as brute_force's
-            with pytest.raises(ValueError, match=f"has {qms[0].num_bits} bits"):
-                solve(system, enc, "brute", aux=aux)
-            return
         exact = solve(system, enc, "brute", aux=aux)
-        for qm in qms:
-            direct = brute_force(qm)
-            assert exact.bits.tobytes() == direct.bits[:logical].tobytes()
-            assert (exact.energy, exact.solver["num_ground"]) == (direct.energy, direct.num_ground)
+        direct = brute_force(compile_pubo(system, enc))
+        assert exact.bits.tobytes() == direct.bits.tobytes()
+        assert (exact.energy, exact.solver["num_ground"]) == (direct.energy, direct.num_ground)
+        for qm in qms:  # the QUBO has the same ground, where it can be enumerated
+            if qm.num_bits > 24:
+                continue
+            quadratized = brute_force(qm)
+            assert quadratized.energy == pytest.approx(exact.energy, rel=1e-12, abs=1e-12)
+            if exact.solver["num_ground"] == 1:
+                assert quadratized.bits[:logical].tobytes() == exact.bits.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.sampled_from([1, 2]),
+        num_vars=st.integers(1, 4),
+        bits=st.integers(1, 3),
+    )
+    def test_brute_is_the_least_grid_residual(self, seed, degree, num_vars, bits):
+        # integer coefficients on an integer grid, so every energy is exact: the
+        # winner is the lowest logical integer of least chi^2 over all grid points
+        rng = np.random.default_rng(seed)
+        bits = min(bits, 12 // num_vars)
+        coeffs = [rng.integers(-2, 3, (num_vars,) + (num_vars,) * k).astype(float)
+                  for k in range(degree + 1)]
+        system = PolynomialSystem(coeffs)
+        lo = rng.integers(-3, 1, num_vars).astype(float)
+        enc = from_range(lo, lo + 2**bits - 1, bits)
+        states = all_bitstrings(enc.num_bits)  # row s is the logical integer s
+        chi = chi_squared(system, decode(enc, states))
+        exact = solve(system, enc, "brute")
+        assert exact.energy == chi.min()
+        assert exact.bits.tobytes() == states[np.argmin(chi)].tobytes()
+        assert exact.solver["num_ground"] == np.count_nonzero(chi == chi.min())
+
+    def test_brute_solves_planted_systems_past_the_qubo_limit(self):
+        # 12 logical bits, whose lazy quadratization has 76
+        for seed in range(1000, 1010):
+            system, enc = planted_system(np.random.default_rng(seed), 3, 3, 4)
+            result = solve(system, enc, "brute")
+            assert result.problem["bits"] + result.problem["auxiliaries"] == 76
+            assert chi_squared(system, result.x) == pytest.approx(0.0, abs=1e-9)
+            assert result.energy == pytest.approx(0.0, abs=1e-9)
 
     def test_backends_agree_on_energy_when_bits_agree(self):
         # both report a winner's energy evaluated alone (seed 9 differed)
