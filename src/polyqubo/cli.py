@@ -32,10 +32,9 @@ from .linsys import (
 )
 from .polysys import chi_squared, load_system
 from .regression import (
+    fit_qubo,
     generate_dataset,
-    gls_objective,
     load_dataset_csv,
-    normal_equations,
     polynomial_basis,
     save_dataset_csv,
 )
@@ -119,8 +118,9 @@ def _read_or_refuse(args) -> None:
     """Refuse each flag given that this run does not read; default each unset one it does.
 
     Each choice a run makes (its backend; sweep's kind; regress's data source)
-    decides a set of flags and reads some of them.
+    decides a set of flags and reads some of them; ``args._given`` keeps those given.
     """
+    args._given = {flag for flag, value in vars(args).items() if value is not None}
     tables = _READS[args.command]
     choices = [(f"--backend {args.backend}", set().union(*tables.values()), tables[args.backend])]
     if args.command == "sweep":  # run_sweep defaults the fixed parameters a kind reads
@@ -140,9 +140,10 @@ def _read_or_refuse(args) -> None:
 
 
 def _solver_args(args) -> dict:
-    """The keyword arguments a command passes on to :func:`solve`; a flag its
-    command or backend does not read is None, and leaves solve's default in place."""
-    flags = {k: getattr(args, k, None) for k in ("reads", "sweeps", "seed", "aux", "penalty")}
+    """The keyword arguments a command passes on to :func:`solve`: the flags its
+    command and backend read, less an ``--aux``/``--penalty`` not given."""
+    names = ("reads", "sweeps", "seed") + tuple(k for k in _QUADRATIZE if k in args._given)
+    flags = {k: getattr(args, k, None) for k in names}
     schedule = AnnealSchedule(t_hot=args.t_hot, t_cold=args.t_cold)
     return {**{k: v for k, v in flags.items() if v is not None}, "schedule": schedule}
 
@@ -262,11 +263,11 @@ def build_parser() -> _Parser:
 def _cmd_solve(args) -> dict:
     system = _load_input(args.input)
     linear = args.command == "solve-linear"
-    if (linear or args.backend == "cg") and system.degree != 1:
+    if linear and system.degree != 1:
         raise ConfigError(f"{args.command} --backend {args.backend} needs a degree-1 system, "
                           f"got degree {system.degree}")
-    enc = None if args.backend == "cg" else _encoding_for(args, system.num_variables)
-    result = solve(system, enc, args.backend, **_solver_args(args))
+    result = solve(system, _encoding_for(args, system.num_variables), args.backend,
+                   **_solver_args(args))
     report = {"config": _echo_config(args), "solver": result.solver,
               "solution": result.x.tolist()}
     if result.problem:
@@ -295,14 +296,14 @@ def _cmd_regress(args) -> dict:
         except OSError as err:
             raise ConfigError(f"cannot write data {args.dump_data}: {err.strerror or err}") from err
     basis = polynomial_basis(data.x_grid, int(degree))
-    enc = None if args.backend == "cg" else _encoding_for(args, basis.num_params)
-    result = solve(normal_equations(data, basis), enc, args.backend, **_solver_args(args))
-    report = {"config": _echo_config(args), "solver": result.solver,
-              "parameters": result.x.tolist(), "gls_rss": gls_objective(data, basis, result.x)}
-    if result.problem:
-        report["problem"], report["qubo_energy"] = result.problem, result.energy
+    fit = fit_qubo(data, basis, _encoding_for(args, basis.num_params), args.backend,
+                   **_solver_args(args))
+    report = {"config": _echo_config(args), "solver": fit.solver,
+              "parameters": fit.params.tolist(), "gls_rss": fit.gls_rss}
+    if fit.problem:
+        report["problem"], report["qubo_energy"] = fit.problem, fit.qubo_energy
         del report["problem"]["pubo_terms"]
-        report["bits"] = "".join(str(int(b)) for b in result.bits)
+        report["bits"] = "".join(str(int(b)) for b in fit.bits)
     return report
 
 
@@ -348,8 +349,9 @@ def _load_input(path, loader=load_system):
 
 
 def _encoding_for(args, num_vars: int):
-    return from_range(_parse_vec(args.lo, "--lo"), _parse_vec(args.hi, "--hi"), args.bits,
-                      num_vars=num_vars)
+    """The encoding flags' window; None for a backend that reads none, such as cg."""
+    return None if args.bits is None else from_range(
+        _parse_vec(args.lo, "--lo"), _parse_vec(args.hi, "--hi"), args.bits, num_vars=num_vars)
 
 
 def _echo_config(args) -> dict:

@@ -5,8 +5,8 @@ grid turn into the degree-1 normal-equation system
 
     (F^T S^-1 F) p - F^T S^-1 y = 0
 
-whose root is the GLS estimator.  That system goes through :func:`solve`,
-so annealing over a bit-encoded parameter grid performs the fit.
+whose root is the GLS estimator.  :func:`fit_qubo`, which ``regress`` calls,
+solves it with :func:`solve`: annealing over a bit-encoded grid performs the fit.
 The inverse covariance is never formed: with S = L L^T (Cholesky), one solve
 whitens [W | w_y] = L^-1 [F | y], so the system reads W^T W p - W^T w_y = 0,
 and a residual r weighs r^T S^-1 r = ||L^-1 r||^2.
@@ -180,7 +180,7 @@ class FitResult:
     two differ off the GLS root, so the winner's ``gls_rss`` need not be the
     grid's least: noiseless, at the CLI's default 2 bits over [-1, 1], the
     winner (-1, 1, 1) has 181656.02 and (1, 1, 1) has 181641.85.  ``solver``
-    is :func:`solve`'s solver block; ``bits`` and ``qubo_energy`` are None for cg.
+    and ``problem`` are :func:`solve`'s; ``bits``, ``qubo_energy`` and ``problem`` are None for cg.
     """
 
     params: np.ndarray
@@ -188,12 +188,13 @@ class FitResult:
     qubo_energy: float | None
     gls_rss: float
     solver: dict
+    problem: dict | None
 
 
 def fit_qubo(
     data: RegressionDataset,
     basis: BasisSet,
-    enc: BitEncoding,
+    enc: BitEncoding | None,
     backend: str = "brute",
     *,
     reads: int = 1000,
@@ -204,17 +205,17 @@ def fit_qubo(
     """Fit by solving the normal equations with :func:`~polyqubo.solvers.solve`.
 
     ``backend`` is ``"brute"`` (exact), ``"anneal"`` or ``"cg"``; the point
-    it finds is the fitted parameters.
+    it finds is the fitted parameters.  ``enc`` may be None for ``"cg"``.
     """
     system = normal_equations(data, basis)
-    if enc.num_vars != basis.num_params:
+    if enc is not None and enc.num_vars != basis.num_params:
         raise ValueError(
             f"encoding covers {enc.num_vars} variables, basis has "
             f"{basis.num_params} parameters"
         )
     result = solve(system, enc, backend, reads=reads, sweeps=sweeps, seed=seed, schedule=schedule)
     return FitResult(result.x, result.bits, result.energy, gls_objective(data, basis, result.x),
-                     result.solver)
+                     result.solver, result.problem)
 
 
 def save_dataset_csv(data: RegressionDataset, path, cov_path=None) -> None:

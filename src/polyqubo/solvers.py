@@ -501,7 +501,7 @@ def solve(
     sweeps: int = 500,
     seed: int = 0,
     schedule: AnnealSchedule | None = None,
-    aux: str = "lazy",
+    aux: str | None = None,
     penalty: float | None = None,
 ) -> SolveResult:
     """Solve ``system`` with the backend named ``"brute"``, ``"anneal"`` or ``"cg"``.
@@ -518,8 +518,8 @@ def solve(
     QUBO.  Both decode the winner's logical bits.  Their problem block is
     ``{"bits", "auxiliaries", "penalty", "pubo_terms"}``: the QUBO an annealer
     faces.  Under ``"brute"`` a PUBO with a term of more than 4 bits has no
-    QUBO, so ``auxiliaries`` and ``penalty`` are None, and an ``aux`` other
-    than ``"lazy"`` or a ``penalty``, which only shape a QUBO, are refused.
+    QUBO, so ``auxiliaries`` and ``penalty`` are None, and a given ``aux``
+    (None means ``"lazy"``) or ``penalty``, which only shape a QUBO, is refused.
 
     ``"cg"`` runs :func:`conjugate_gradient` (tol 1e-6) on a degree-1 system,
     ignores ``enc``, and reports ``{"backend": "cg", "iterations"}``.  It
@@ -553,9 +553,9 @@ def solve(
     pubo = compile_pubo(system, enc)
     qm = None  # the QUBO of the problem block, where one exists
     if backend == "anneal" or pubo.max_term_size <= 4:
-        qm = quadratize(pubo, penalty, aux)
-    elif aux != "lazy" or penalty is not None:
-        given = f"aux={aux!r}" if aux != "lazy" else f"penalty={penalty!r}"
+        qm = quadratize(pubo, penalty, aux or "lazy")
+    elif aux is not None or penalty is not None:
+        given = f"aux={aux!r}" if aux is not None else f"penalty={penalty!r}"
         raise ValueError(f"{given} shapes a QUBO, and backend 'brute' builds none "
                          f"for a PUBO with terms of {pubo.max_term_size} bits")
     if backend == "brute":

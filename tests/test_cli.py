@@ -12,6 +12,7 @@ import pytest
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, REPO_ROOT
 from polyqubo import CgReport, chi_squared, load_system, save_system, PolynomialSystem
+from polyqubo import fit_qubo, from_range, generate_dataset, polynomial_basis
 from polyqubo import cli, solvers
 from polyqubo.cli import main
 
@@ -134,13 +135,24 @@ class TestSolvePoly:
                                      "pubo_terms": 63}
 
     @pytest.mark.parametrize("flag, named", [(["--aux", "all"], "aux='all'"),
-                                             (["--penalty", "5"], "penalty=5.0")])
+                                             (["--penalty", "5"], "penalty=5.0"),
+                                             (["--aux", "lazy"], "aux='lazy'")])
     def test_cubic_refuses_qubo_flags_under_brute(self, tmp_path, capsys, flag, named):
         out = tmp_path / "report.json"
         assert run(["solve-poly", CUBIC, "--lo", "0", "--hi", "7", "--bits", "3", *flag,
                     "--output", out]) == 1
         assert f"{named} shapes a QUBO, and backend 'brute' builds none" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_default_aux_given_changes_no_report(self, tmp_path):
+        # --aux lazy given writes what its default does, config echo included
+        reports = []
+        for aux in ([], ["--aux", "lazy"]):
+            out = tmp_path / f"report{len(aux)}.json"
+            assert run(["solve-poly", LINEAR, *aux, "--output", out]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["aux"] == "lazy"
 
     def test_cubic_refused_by_anneal(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -201,7 +213,7 @@ class TestSolveLinear:
 
     def test_cg_on_polynomial_rejected(self, capsys):
         assert run(["solve-poly", QUAD_FIXTURE, "--backend", "cg"]) == 1
-        assert "degree-1" in capsys.readouterr().err
+        assert "backend 'cg' needs a degree-1 system, got degree 2" in capsys.readouterr().err
 
 
 class TestRegress:
@@ -227,6 +239,32 @@ class TestRegress:
         np.testing.assert_allclose(report["parameters"], [8.0, 4.0, 7.0], atol=1e-6)
         assert report["gls_rss"] == pytest.approx(0.0, abs=1e-9)
         assert "solution" not in report
+
+    @pytest.mark.parametrize("backend, flags", [
+        ("brute", ["--bits", "3", "--lo", "0", "--hi", "15"]),
+        ("anneal", ["--bits", "3", "--lo", "0", "--hi", "15", "--reads", "30", "--sweeps", "20",
+                    "--seed", "4"]),
+        ("cg", []),
+    ])
+    def test_report_is_the_fit_qubo_result(self, tmp_path, backend, flags):
+        out = tmp_path / "report.json"
+        assert run(["regress", "--noise-seed", "7", "--x-points", "20", "--backend", backend,
+                    *flags, "--output", out]) == 0
+        report = json.loads(out.read_text())
+        data = generate_dataset(20, noise_seed=7)
+        enc = from_range(0.0, 15.0, 3, num_vars=3) if flags else None
+        solver_args = {"reads": 30, "sweeps": 20, "seed": 4} if backend == "anneal" else {}
+        fit = fit_qubo(data, polynomial_basis(data.x_grid, 2), enc, backend, **solver_args)
+        assert report["parameters"] == fit.params.tolist()
+        assert report["gls_rss"] == fit.gls_rss
+        assert report["solver"] == fit.solver
+        if fit.problem is None:
+            assert {"problem", "qubo_energy", "bits"}.isdisjoint(report)
+        else:
+            assert report["qubo_energy"] == fit.qubo_energy
+            assert report["bits"] == "".join(str(b) for b in fit.bits)
+            assert report["problem"] == {k: v for k, v in fit.problem.items()
+                                         if k != "pubo_terms"}
 
     def test_csv_data_round_trip(self, tmp_path):
         out = tmp_path / "report.json"

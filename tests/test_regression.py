@@ -18,6 +18,7 @@ from polyqubo import (
     normal_equations,
     polynomial_basis,
     save_dataset_csv,
+    solve,
 )
 
 TRUE_PARAMS = np.array([8.0, 4.0, 7.0])
@@ -129,6 +130,7 @@ class TestFitQubo:
         np.testing.assert_array_equal(fit.params, TRUE_PARAMS)
         assert tuple(fit.bits) == GROUND_BITS_12
         assert fit.gls_rss == pytest.approx(0.0, abs=1e-9)
+        assert fit.problem == solve(normal_equations(noiseless, quad_basis), enc, "brute").problem
 
     def test_anneal_matches_brute_oracle(self, noiseless, quad_basis):
         enc = from_range(0.0, 15.0, 4, num_vars=3)
@@ -139,6 +141,13 @@ class TestFitQubo:
         np.testing.assert_array_equal(fit.params, brute_fit.params)
         assert fit.solver["backend"] == "anneal"
         assert fit.solver["reads"] == 4000
+
+    def test_cg_reads_no_encoding(self, noiseless, quad_basis):
+        fit = fit_qubo(noiseless, quad_basis, None, "cg")
+        np.testing.assert_allclose(fit.params, TRUE_PARAMS, atol=1e-6)
+        assert fit.gls_rss == pytest.approx(0.0, abs=1e-9)
+        assert fit.solver["backend"] == "cg"
+        assert fit.bits is fit.qubo_energy is fit.problem is None
 
     def test_constant_fit(self):
         data = RegressionDataset(np.arange(6.0), np.full(6, 5.0), np.eye(6))

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    all_bitstrings, dense_pubo, planted_pubo, planted_system, random_encoding, random_system,
-    sample_key,
+    FIXTURE_DIR, all_bitstrings, dense_pubo, planted_pubo, planted_system, random_encoding,
+    random_system, sample_key,
 )
 from polyqubo import (
     AnnealSchedule,
@@ -31,6 +31,7 @@ from polyqubo import (
     conjugate_gradient,
     decode,
     from_range,
+    load_system,
     nearest_bits,
     pubo_energy,
     quadratize,
@@ -912,6 +913,17 @@ class TestSolve:
             assert result.problem["bits"] + result.problem["auxiliaries"] == 76
             assert chi_squared(system, result.x) == pytest.approx(0.0, abs=1e-9)
             assert result.energy == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("given, named", [({"aux": "lazy"}, "aux='lazy'"),
+                                              ({"aux": "all"}, "aux='all'"),
+                                              ({"penalty": 5.0}, "penalty=5.0")])
+    def test_brute_refuses_a_given_aux_or_penalty_without_a_qubo(self, given, named):
+        # a cubic's PUBO has terms of 6 bits: no QUBO is built for aux or penalty to shape
+        system = load_system(FIXTURE_DIR / "cubic_2x2.json")
+        enc = from_range(0.0, 7.0, 3, num_vars=2)
+        np.testing.assert_array_equal(solve(system, enc, "brute").x, [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"{named} shapes a QUBO"):
+            solve(system, enc, "brute", **given)
 
     def test_backends_agree_on_energy_when_bits_agree(self):
         # both report a winner's energy evaluated alone (seed 9 differed)
