@@ -55,7 +55,6 @@ __all__ = [
     "quadratize",
     "compile_linear_qubo",
     "pubo_energy",
-    "qubo_energy",
     "export_qubo",
 ]
 
@@ -538,8 +537,8 @@ def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatri
     return quadratize(compile_pubo(system, enc))
 
 
-def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
-    """Evaluate a PUBO at a bitstring of shape (L,) or a batch (..., L).
+def pubo_energy(pubo: PseudoBooleanPolynomial | QuboMatrix, psi) -> float | np.ndarray:
+    """Evaluate a PUBO, or a QUBO as its view :attr:`QuboMatrix.pubo`, at (L,) or (..., L).
 
     Each term t of size k splits into the halves ``t[:ceil(k/2)]`` and
     ``t[ceil(k/2):]``.  With the distinct halves (the empty one included) as
@@ -558,6 +557,7 @@ def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
     however the batch is sliced.  A polynomial builds its halves and M on its
     first evaluation, from its plan's halves if :func:`compile_pubo` made it.
     """
+    pubo = pubo.pubo if isinstance(pubo, QuboMatrix) else pubo
     psi = np.asarray(psi)
     num_bits = pubo.num_bits
     if psi.ndim == 0 or psi.shape[-1] != num_bits:
@@ -583,21 +583,6 @@ def pubo_energy(pubo: PseudoBooleanPolynomial, psi) -> float | np.ndarray:
         energy[start : start + len(chunk)] = mixed.sum(axis=1)
     energy = pubo.offset + energy.reshape(psi.shape[:-1])
     return float(energy) if energy.ndim == 0 else energy
-
-
-def qubo_energy(qm: QuboMatrix, bits) -> float | np.ndarray:
-    """Evaluate a QUBO at a full bit vector (logical + aux), batched like psi.
-
-    This is :func:`pubo_energy` of the PUBO view ``qm.pubo``, so a state's
-    energy is the same bits alone as in any batch.
-    """
-    bits = np.asarray(bits)
-    if bits.ndim == 0 or bits.shape[-1] != qm.num_bits:
-        raise ValueError(
-            f"bit vector has length {bits.shape[-1] if bits.ndim else 0}, "
-            f"QUBO expects {qm.num_bits} (={qm.num_logical} logical + {qm.num_aux} aux)"
-        )
-    return pubo_energy(qm.pubo, bits)
 
 
 def export_qubo(qm: QuboMatrix, path) -> None:

@@ -104,14 +104,17 @@ def relative_residual(p1, p0, x) -> float:
     return float(r @ r) / denom
 
 
-def solution_range(p1, p0, tol: float = 1e-12) -> tuple[float, float]:
-    """(min, max) over components of the reference solution, via CG."""
-    report = conjugate_gradient(p1, p0, tol=tol)
-    lo = float(report.solution.min())
-    hi = float(report.solution.max())
+def _window(solution: np.ndarray) -> tuple[float, float]:
+    """(min, max) over the solution's components, widened to 1 if they agree."""
+    lo, hi = float(solution.min()), float(solution.max())
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi
+
+
+def solution_range(p1, p0, tol: float = 1e-12) -> tuple[float, float]:
+    """(min, max) over components of the reference solution, via CG."""
+    return _window(conjugate_gradient(p1, p0, tol=tol).solution)
 
 
 def forward_error_minimum(p1, p0, enc: BitEncoding) -> tuple[np.ndarray, float]:
@@ -127,7 +130,7 @@ def forward_error_minimum(p1, p0, enc: BitEncoding) -> tuple[np.ndarray, float]:
 
 
 _SWEEP_DEFAULTS = {
-    # per-kind fixed parameters; the swept one is ignored here
+    # per-kind fixed parameters; the swept one is absent
     "size": {"kappa": 1.1, "bits": 2},
     "condition": {"size": 12, "bits": 2},
     "precision": {"size": 4, "kappa": 1.1},
@@ -152,13 +155,15 @@ def run_sweep(
     ``values`` is the list the swept parameter takes; the other two default
     to the standard settings for the kind (size sweep: kappa 1.1, 2 bits;
     condition sweep: 12 equations, 2 bits; precision sweep: 4 equations,
-    kappa 1.1) and can be overridden.  The matrix seed is shared by all
-    points, so a condition sweep varies the eigenvalues over identical
-    eigenvectors and a precision sweep refines one fixed instance; the
-    annealer seed is per point (base seed + index) so points stay
-    independent when run concurrently; ``schedule`` is its temperature
-    ladder.  Each point's search range spans exactly the min/max components
-    of its reference solution.
+    kappa 1.1) and can be overridden; giving the swept one as well is a
+    ``ValueError``.  The matrix seed is shared by all points, so a condition
+    sweep varies the eigenvalues over identical eigenvectors and a precision
+    sweep refines one fixed instance; the annealer seed is per point (base
+    seed + index) so points stay independent when run concurrently;
+    ``schedule`` is its temperature ladder.  Each point's search range spans
+    exactly the min/max components of its reference solution, as in
+    :func:`solution_range`; the same CG solve gives the point's
+    :func:`forward_error_minimum` prediction.
 
     Returns one row per point with the columns in :data:`SWEEP_COLUMNS`;
     ``None`` marks a cell that does not apply.  Enumeration has no hit
@@ -170,9 +175,10 @@ def run_sweep(
     if backend == "cg":  # a point's row is its QUBO winner's
         raise ValueError("run_sweep takes backend 'brute' or 'anneal', not 'cg'")
     given = {"size": size, "kappa": kappa, "bits": bits}
-    fixed = {**_SWEEP_DEFAULTS[kind], **{k: v for k, v in given.items() if v is not None}}
-
     swept = {"size": "size", "condition": "kappa", "precision": "bits"}[kind]
+    if given[swept] is not None:
+        raise ValueError(f"a {kind} sweep takes {swept} from values; got {swept}={given[swept]!r}")
+    fixed = {**_SWEEP_DEFAULTS[kind], **{k: v for k, v in given.items() if v is not None}}
     points = [{**fixed, swept: value} for value in values]
     if backend == "brute":  # refuse an oversized point before solving any
         for point in points:
@@ -184,8 +190,8 @@ def run_sweep(
         spec = ConditionedSpec(n, float(point["kappa"]), seed=seed)
         p1 = make_conditioned_matrix(spec)
         p0 = make_rhs(n)
-        lo, hi = solution_range(p1, p0)
-        enc = from_range(lo, hi, int(point["bits"]), num_vars=n)
+        reference = conjugate_gradient(p1, p0, tol=1e-12).solution  # one CG per point
+        enc = from_range(*_window(reference), int(point["bits"]), num_vars=n)
         result = solve(PolynomialSystem([p0, p1]), enc, backend, reads=reads, sweeps=sweeps,
                        seed=seed + index, schedule=schedule)
         rows.append({
@@ -194,7 +200,8 @@ def run_sweep(
             "rel_residual": relative_residual(p1, p0, result.x),
             "hit_fraction": result.solver.get("ground_fraction"),
             "forward_error_residual": (
-                forward_error_minimum(p1, p0, enc)[1] if kind != "condition" else None
+                relative_residual(p1, p0, decode(enc, nearest_bits(enc, reference)))
+                if kind != "condition" else None
             ),
         })
     return rows

@@ -9,11 +9,12 @@ of squares.
   is enumerated as its PUBO view.  Each term is a bit mask split into a low
   and a high half; each block of high-half states is scored against every
   low-half state by one matrix product, offset left out.  The high-half
-  states are sorted by a lower bound on their energies, rounding included,
-  and blocks of the sorted table are scored until one's first bound exceeds
-  the least minimum so far; the states left hold none that ties it.  Only
-  the blocks that tie the least minimum are scored again.  The winner is the
-  lowest state integer among the exact ties, counted in ``num_ground``.
+  states, in one block or many, are sorted by a lower bound on their
+  energies, rounding included, and blocks of the sorted table are scored
+  until one's first bound exceeds the least minimum so far; the states left
+  hold none that ties it.  Only the blocks that tie the least minimum are
+  scored again.  The winner is the lowest state integer among the exact
+  ties, counted in ``num_ground``, whatever the order of the rows.
 * :func:`simulated_anneal` — single-flip Metropolis annealing, the software
   stand-in for annealing hardware.  Reads are independent trajectories with
   per-read generators seeded ``seed + read_index``, so chunked, parallel,
@@ -57,7 +58,6 @@ from .compiler import (
     compile_pubo,
     pubo_energy,
     quadratize,
-    qubo_energy,
 )
 from .encoding import BitEncoding, decode
 from .polysys import PolynomialSystem
@@ -135,20 +135,19 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
 
         [C[block] | e_hi[block]] @ [R ; 1]
 
-    into a reused buffer, and only its minimum is kept.  With more than one
-    block, the high rows are first sorted by :func:`_row_bounds`, which lies
-    below every value the product gives in the row, and blocks of the sorted
-    table are scored in turn, until one's first row has a bound above the
-    least minimum so far: its rows and all later ones hold no state below or
-    equal to it, so no tie, while every row whose bound is at or below the
-    final least is scored.  Every product has the same shape: if ``rows``
-    does not divide the high rows, the sorted table is padded with copies of
-    its last row, which no minimum or tie count reads.  An objective of at
-    most 15 bits is one block, in natural order, and needs no bound.  The
-    blocks that tie the least minimum are scored again: ``num_ground`` counts
-    their states that tie it exactly, and the winner is the lowest state
-    integer among them (bit i of the integer is bit i of the string).  The
-    offset stays out of the product, so where the coefficients sum exactly
+    into a reused buffer, and only its minimum is kept.  The high rows are
+    first sorted by :func:`_row_bounds`, which lies below every value the
+    product gives in the row, and blocks of the sorted table, one or many,
+    are scored in turn, until one's first row has a bound above the least
+    minimum so far: its rows and all later ones hold no state below or equal
+    to it, so no tie, while every row whose bound is at or below the final
+    least is scored.  Every product has the same shape: if ``rows`` does not
+    divide the high rows, the sorted table is padded with copies of its last
+    row, which no minimum or tie count reads.  The blocks that tie the least
+    minimum are scored again: ``num_ground`` counts their states that tie it
+    exactly, and the winner is the lowest state integer among them (bit i of
+    the integer is bit i of the string), whatever rows the sort put first.
+    The offset stays out of the product, so where the coefficients sum exactly
     (integers, say) the energies and their ties are those of a direct
     evaluation, whatever the offset.  The reported energy is
     :func:`pubo_energy` of the winner alone, as the annealer evaluates its
@@ -177,11 +176,9 @@ def brute_force(objective: PseudoBooleanPolynomial | QuboMatrix) -> BruteForceRe
     right[:-1] = low_sums.T
     rows = min(max(1, _BLOCK_FLOATS >> lo), 1 << hi)
     starts = range(0, 1 << hi, rows)
-    order, bounds = np.arange(1 << hi), np.full(1 << hi, -np.inf)
-    if len(starts) > 1:  # best first, padded to whole blocks with the last row
-        bounds = _row_bounds(left, right)
-        order = np.argsort(bounds, kind="stable")
-        left = left.take(order.take(np.arange(len(starts) * rows), mode="clip"), axis=0)
+    bounds = _row_bounds(left, right)  # best first, padded to whole blocks with the last row
+    order = np.argsort(bounds, kind="stable")
+    left = left.take(order.take(np.arange(len(starts) * rows), mode="clip"), axis=0)
     buf = np.empty((rows, 1 << lo))
 
     def score(start: int) -> np.ndarray:  # energies less the offset, one row per real row
@@ -238,17 +235,19 @@ class SampleSet:
 class AnnealSchedule:
     """Geometric temperature ladder.
 
-    Unset endpoints are derived from the objective: hot enough that any
-    single flip is plausible (max |coefficient| times the bit count), cold
-    enough to freeze the smallest coupling (1e-3 times the smallest nonzero
-    |coefficient|), or 1 and 1e-3 for an all-zero objective.
+    Unset endpoints are derived from the objective's coefficients, read from
+    its PUBO view :attr:`QuboMatrix.pubo`: hot enough that any single flip is
+    plausible (max |coefficient| times the bit count), cold enough to freeze
+    the smallest coupling (1e-3 times the smallest nonzero |coefficient|),
+    or 1 and 1e-3 for an all-zero objective.
     """
 
     t_hot: float | None = None
     t_cold: float | None = None
 
     def resolve(self, qm: QuboMatrix) -> tuple[float, float]:
-        mags = np.abs(qm.matrix[qm.matrix != 0])
+        coeffs = qm.pubo.coeffs  # a hand-built PUBO kept as the view may hold a 0.0
+        mags = np.abs(coeffs[coeffs != 0])
         t_hot, t_cold = self.t_hot, self.t_cold
         if t_hot is None:
             t_hot = float(mags.max()) * qm.num_bits if mags.size else 1.0
@@ -307,8 +306,8 @@ def simulated_anneal(
     annealed in chunks of ``_READ_CHUNK``, and the uniforms are drawn into
     blocks of sweeps holding at most ``_UNIFORM_FLOATS`` per chunk, which
     leaves the stream unchanged.  Each read contributes its final state; one
-    :func:`qubo_energy` call scores the distinct states, each with the
-    energy it has alone.
+    :func:`pubo_energy` call on the PUBO view ``qm.pubo`` scores the distinct
+    states, each with the energy it has alone.
 
     A sweep is skipped if no sweep has run since a frozen one, it runs no
     hotter than that one, and none of its uniforms is 0.0.  A sweep that
@@ -338,6 +337,9 @@ def simulated_anneal(
     Overflow is ignored for the whole call: a subnormal ``t`` can overflow
     ``-Δ/t`` to ±inf, and the probability that gives, 0 or 1, is the exact one.
     """
+    if not isinstance(qm, QuboMatrix):
+        raise TypeError(f"simulated_anneal samples a QuboMatrix, not a {type(qm).__name__}; "
+                        "quadratize it first")
     if reads < 1 or sweeps < 1:
         raise ValueError(f"reads and sweeps must be >= 1, got {reads}, {sweeps}")
     if seed < 0:  # read r is seeded seed + r, and numpy's seeds are >= 0
@@ -388,7 +390,7 @@ def simulated_anneal(
     records = tuple(
         SampleRecord(bits, energy, count)
         for energy, bits, count in sorted(
-            zip(qubo_energy(qm, finals).tolist(), map(tuple, finals.tolist()), tally.values())
+            zip(pubo_energy(qm.pubo, finals).tolist(), map(tuple, finals.tolist()), tally.values())
         )
     )
     return SampleSet(records, total_reads=reads, rng_seed=seed)

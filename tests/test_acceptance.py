@@ -31,7 +31,6 @@ from polyqubo import (
     polynomial_basis,
     pubo_energy,
     quadratize,
-    qubo_energy,
     relative_residual,
     simulated_anneal,
     solution_range,
@@ -167,7 +166,7 @@ def test_criterion_07_quadratization_exactness():
         qm = quadratize(pubo)  # penalty defaults to choose_penalty
         n_aux = qm.num_aux
         total = num_bits + n_aux
-        energies = qubo_energy(qm, all_bitstrings(total))
+        energies = pubo_energy(qm, all_bitstrings(total))
         table = energies.reshape(2**n_aux, 2**num_bits)  # [aux int, logical int]
         logical_states = all_bitstrings(num_bits)
         target = pubo_energy(pubo, logical_states)
@@ -199,7 +198,7 @@ def test_criterion_08_linear_fast_path_equivalence():
         qm = compile_linear_qubo(system, enc)
         pubo = compile_pubo(system, enc)
         states = all_bitstrings(enc.num_bits)
-        lhs = qubo_energy(qm, states)
+        lhs = pubo_energy(qm, states)
         rhs = pubo_energy(pubo, states)
         scale = max(1.0, float(np.max(np.abs(rhs))))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)

@@ -28,7 +28,6 @@ from polyqubo import (
     from_range,
     pubo_energy,
     quadratize,
-    qubo_energy,
     sparsify,
 )
 
@@ -491,7 +490,7 @@ class TestQuadratize:
         qm = quadratize(pubo)
         assert qm.num_aux == 0
         states = all_bitstrings(4)
-        np.testing.assert_allclose(qubo_energy(qm, states), pubo_energy(pubo, states), rtol=1e-12)
+        np.testing.assert_allclose(pubo_energy(qm, states), pubo_energy(pubo, states), rtol=1e-12)
 
     def test_single_cubic_term_exact(self):
         pubo = sparsify({(0, 1, 2): 1.0}, num_bits=3)
@@ -499,7 +498,7 @@ class TestQuadratize:
         assert qm.num_aux == 1
         for logical in all_bitstrings(3):
             energies = [
-                qubo_energy(qm, np.concatenate([logical, [aux]])) for aux in (0, 1)
+                pubo_energy(qm, np.concatenate([logical, [aux]])) for aux in (0, 1)
             ]
             assert min(energies) == pytest.approx(pubo_energy(pubo, logical), abs=1e-12)
 
@@ -519,7 +518,7 @@ class TestQuadratize:
             aux_states = all_bitstrings(n_aux) if n_aux else np.zeros((1, 0), dtype=np.uint8)
             for logical in all_bitstrings(num_bits):
                 full = np.hstack([np.broadcast_to(logical, (len(aux_states), num_bits)), aux_states])
-                energies = qubo_energy(qm, full)
+                energies = pubo_energy(qm, full)
                 target = pubo_energy(pubo, logical)
                 assert energies.min() == pytest.approx(target, rel=1e-9, abs=1e-9)
                 # the minimum is attained only at product-consistent auxiliaries
@@ -545,7 +544,7 @@ class TestQuadratize:
         pubo = sparsify(raw, num_bits=num_bits)
         qm = quadratize(pubo, aux=aux)
         # rows of state integers: [aux int, logical int]
-        table = qubo_energy(qm, all_bitstrings(qm.num_bits)).reshape(2**qm.num_aux, 2**num_bits)
+        table = pubo_energy(qm, all_bitstrings(qm.num_bits)).reshape(2**qm.num_aux, 2**num_bits)
         logical = all_bitstrings(num_bits).astype(np.int64)
         mins = table.min(axis=0)  # over auxiliaries, per logical state integer
         np.testing.assert_allclose(mins, pubo_energy(pubo, logical), rtol=1e-9, atol=1e-9)
@@ -731,7 +730,7 @@ class TestLinearFastPath:
             pubo = compile_pubo(system, enc)
             states = all_bitstrings(enc.num_bits)
             np.testing.assert_allclose(
-                qubo_energy(qm, states), pubo_energy(pubo, states), rtol=1e-9, atol=1e-12
+                pubo_energy(qm, states), pubo_energy(pubo, states), rtol=1e-9, atol=1e-12
             )
 
     def test_degree_two_rejected(self, quad_system, quad_encoding):
@@ -878,16 +877,28 @@ class TestEnergies:
         for shape in ((3, 3, 4), (4, 4, 5)):
             qm = quadratize(planted_pubo(rng, *shape))
             states = rng.integers(0, 2, (300, qm.num_bits))
-            alone = [qubo_energy(qm, state) for state in states]
-            assert qubo_energy(qm, states).tobytes() == np.array(alone).tobytes()
+            alone = [pubo_energy(qm, state) for state in states]
+            assert pubo_energy(qm, states).tobytes() == np.array(alone).tobytes()
 
     def test_length_mismatch_rejected(self, quad_system, quad_encoding):
         pubo = compile_pubo(quad_system, quad_encoding)
         with pytest.raises(ValueError, match="length"):
             pubo_energy(pubo, [0, 1])
         qm = quadratize(pubo, aux="all")
-        with pytest.raises(ValueError, match="aux"):
-            qubo_energy(qm, [0, 1, 1, 1])
+        with pytest.raises(ValueError, match="length"):
+            pubo_energy(qm, [0, 1, 1, 1])
+
+    @pytest.mark.parametrize("degree, aux, num_aux", [(1, "lazy", 0), (2, "all", 6)])
+    def test_qubo_is_evaluated_as_its_view(
+        self, quad_system, quad_encoding, degree, aux, num_aux
+    ):
+        # degree 1 gives an aux-free QUBO, whose view is its source PUBO
+        system = PolynomialSystem(quad_system.coeffs[: degree + 1])
+        qm = quadratize(compile_pubo(system, quad_encoding), aux=aux)
+        assert qm.num_aux == num_aux
+        states = all_bitstrings(qm.num_bits)
+        assert pubo_energy(qm, states).tobytes() == pubo_energy(qm.pubo, states).tobytes()
+        assert pubo_energy(qm, states[5]) == pubo_energy(qm.pubo, states[5])
 
 
 class TestQuboMatrixValidation:

@@ -238,6 +238,31 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="kind"):
             run_sweep("volume", [1])
 
+    @pytest.mark.parametrize("kind, swept, value", [
+        ("size", "size", 5), ("condition", "kappa", 10.0), ("precision", "bits", 3),
+    ])
+    def test_swept_parameter_given_as_fixed_refused(self, monkeypatch, kind, swept, value):
+        calls = []
+        monkeypatch.setattr(linsys, "solve", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=f"a {kind} sweep takes {swept} from values; "
+                                             f"got {swept}={value!r}"):
+            run_sweep(kind, [2, 3], **{swept: value})
+        assert calls == []
+
+    def test_one_conjugate_gradient_per_point(self, monkeypatch):
+        # the point's window and its forward-error prediction share one solve
+        calls = []
+        cg = linsys.conjugate_gradient
+        monkeypatch.setattr(linsys, "conjugate_gradient",
+                            lambda *a, **k: calls.append(a) or cg(*a, **k))
+        rows = run_sweep("size", [2, 3, 4], backend="brute", seed=0)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        for n, row in zip([2, 3, 4], rows):
+            p1, p0 = make_conditioned_matrix(ConditionedSpec(n, 1.1, seed=0)), make_rhs(n)
+            enc = from_range(*solution_range(p1, p0), 2, num_vars=n)
+            assert row["forward_error_residual"] == forward_error_minimum(p1, p0, enc)[1]
+
     @pytest.mark.parametrize(
         "kind, values, fixed, num_bits",
         [("size", [2, 13], {}, 26), ("precision", [2, 7], {"size": 4}, 28)],

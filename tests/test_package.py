@@ -13,7 +13,7 @@ MODULE_EXPORTS = {
     "encoding": ["BitEncoding", "decode", "from_range", "refine", "nearest_bits"],
     "compiler": ["PseudoBooleanPolynomial", "QuboMatrix", "sparsify", "compile_pubo",
                  "choose_penalty", "quadratize", "compile_linear_qubo", "pubo_energy",
-                 "qubo_energy", "export_qubo"],
+                 "export_qubo"],
     "solvers": ["BruteForceResult", "SampleSet", "SampleRecord", "AnnealSchedule", "CgReport",
                 "SolveResult", "SolverError", "check_enumerable", "brute_force",
                 "simulated_anneal", "conjugate_gradient", "solve"],

@@ -20,6 +20,7 @@ from polyqubo import (
     AnnealSchedule,
     CgReport,
     PolynomialSystem,
+    PseudoBooleanPolynomial,
     QuboMatrix,
     SampleRecord,
     SampleSet,
@@ -35,7 +36,6 @@ from polyqubo import (
     nearest_bits,
     pubo_energy,
     quadratize,
-    qubo_energy,
     refine,
     simulated_anneal,
     solve,
@@ -71,7 +71,7 @@ def reference_anneal(qm, reads, sweeps, seed, schedule=None, read_chunk=512):
         for row in states:
             bits = tuple(int(b) for b in row)
             counts[bits] = counts.get(bits, 0) + 1
-    records = [SampleRecord(bits, qubo_energy(qm, bits), c) for bits, c in counts.items()]
+    records = [SampleRecord(bits, pubo_energy(qm, bits), c) for bits, c in counts.items()]
     records.sort(key=lambda r: (r.energy, r.bits))
     return SampleSet(tuple(records), total_reads=reads, rng_seed=seed)
 
@@ -147,9 +147,9 @@ class TestBruteForce:
         assert tuple(result.bits) == (0, 1, 1, 1, 0, 0, 0, 1, 1, 1)
 
     def test_ground_energy_reevaluates(self, quad_pubo, quad_qubo):
-        for objective, energy_fn in ((quad_pubo, pubo_energy), (quad_qubo, qubo_energy)):
+        for objective in (quad_pubo, quad_qubo):
             result = brute_force(objective)
-            assert energy_fn(objective, result.bits) == result.energy
+            assert pubo_energy(objective, result.bits) == result.energy
 
     def test_spectrum_matches_direct_evaluation(self, quad_pubo):
         result = brute_force(quad_pubo)
@@ -193,7 +193,7 @@ class TestBruteForce:
             result = brute_force(qm)
             results.append((tuple(result.bits), result.energy, result.num_ground))
         assert len(set(results)) == 1
-        spectrum = qubo_energy(qm, all_bitstrings(12))
+        spectrum = pubo_energy(qm, all_bitstrings(12))
         assert results[0][0] == tuple(all_bitstrings(12)[np.argmin(spectrum)])
 
     def test_ties_across_chunks_counted(self, monkeypatch):
@@ -214,7 +214,7 @@ class TestBruteForce:
             shifted = brute_force(QuboMatrix(matrix, offset, 10))
             np.testing.assert_array_equal(shifted.bits, base.bits)
             assert shifted.num_ground == base.num_ground
-            assert shifted.energy == qubo_energy(QuboMatrix(matrix, offset, 10), shifted.bits)
+            assert shifted.energy == pubo_energy(QuboMatrix(matrix, offset, 10), shifted.bits)
 
     def test_equal_minima_in_distant_blocks(self, monkeypatch):
         # 6 bits in blocks of one high row (8 states): energy -1 on exactly
@@ -282,7 +282,7 @@ class TestBruteForce:
             high_rows_per_block(monkeypatch, num_bits, rows)
         result = brute_force(qm)
         table = all_bitstrings(num_bits)
-        spectrum = qubo_energy(qm, table)
+        spectrum = pubo_energy(qm, table)
         np.testing.assert_array_equal(result.bits, table[np.argmin(spectrum)])
         assert result.num_ground == np.count_nonzero(spectrum == 0.0) > 1
         assert result.energy == 0.0
@@ -309,7 +309,7 @@ class TestBruteForce:
         high_rows_per_block(monkeypatch, 10, rows)
         result = brute_force(qm)
         table = all_bitstrings(10)
-        spectrum = qubo_energy(qm, table)
+        spectrum = pubo_energy(qm, table)
         np.testing.assert_array_equal(result.bits, table[np.argmin(spectrum)])
         assert result.num_ground == np.count_nonzero(spectrum == spectrum.min()) >= 8
 
@@ -375,15 +375,12 @@ class TestBruteForce:
         # alone, and a block's BLAS product can give a row other last bits
         # than the row alone; the reported energy is the latter
         system, enc = conditioned_system(seed)
-        for objective, energy_fn in (
-            (compile_linear_qubo(system, enc), qubo_energy),
-            (compile_pubo(system, enc), pubo_energy),
-        ):
+        for objective in (compile_linear_qubo(system, enc), compile_pubo(system, enc)):
             results = set()
             for rows in (1, 2, 5, 64):
                 high_rows_per_block(monkeypatch, 12, rows)
                 result = brute_force(objective)
-                assert result.energy == energy_fn(objective, result.bits)
+                assert result.energy == pubo_energy(objective, result.bits)
                 results.add((tuple(result.bits), result.energy, result.num_ground))
             assert len(results) == 1
 
@@ -408,16 +405,16 @@ class TestBruteForce:
         if kind != "pubo":
             matrix = np.triu(rng.integers(-scale, scale + 1, (num_bits, num_bits))).astype(float)
             matrix[free, :] = matrix[:, free] = 0.0
-            objective, energy_fn = QuboMatrix(matrix, offset, num_bits), qubo_energy
+            objective = QuboMatrix(matrix, offset, num_bits)
         else:
             terms = [((), offset)]
             for _ in range(int(rng.integers(0, 3 * num_bits + 1))):
                 term = rng.choice(num_bits, size=int(rng.integers(1, 5)))
                 if not free[term].any():
                     terms.append((tuple(term), float(rng.integers(-scale, scale + 1))))
-            objective, energy_fn = sparsify(terms, num_bits), pubo_energy
+            objective = sparsify(terms, num_bits)
         table = all_bitstrings(num_bits)
-        spectrum = np.atleast_1d(energy_fn(objective, table))
+        spectrum = np.atleast_1d(pubo_energy(objective, table))
         with pytest.MonkeyPatch.context() as patch:
             if rows is not None:
                 high_rows_per_block(patch, num_bits, rows)
@@ -690,7 +687,7 @@ class TestSimulatedAnneal:
         schedule = AnnealSchedule(t_hot=1.0, t_cold=1e-310)
         samples = simulated_anneal(quad_qubo, reads=8, sweeps=2, seed=2, schedule=schedule)
         for record in samples.records:
-            assert record.energy == qubo_energy(quad_qubo, np.array(record.bits, np.uint8))
+            assert record.energy == pubo_energy(quad_qubo, np.array(record.bits, np.uint8))
 
     def test_uniforms_are_multiples_of_2_to_the_minus_53(self):
         # the stop rule's floor rests on this: a uniform other than 0.0 is >= 2^-53
@@ -779,7 +776,7 @@ class TestSimulatedAnneal:
             assert len(records) > 1
             # records are scored in one batch, each with its energy alone
             for record in records:
-                assert record.energy == qubo_energy(qm, record.bits)
+                assert record.energy == pubo_energy(qm, record.bits)
 
     def test_counts_sum_to_reads(self, quad_qubo):
         samples = simulated_anneal(quad_qubo, reads=123, sweeps=40, seed=2)
@@ -788,7 +785,7 @@ class TestSimulatedAnneal:
     def test_energies_reevaluate(self, quad_qubo):
         samples = simulated_anneal(quad_qubo, reads=100, sweeps=40, seed=4)
         for record in samples.records:
-            assert qubo_energy(quad_qubo, record.bits) == pytest.approx(
+            assert pubo_energy(quad_qubo, record.bits) == pytest.approx(
                 record.energy, rel=1e-12
             )
 
@@ -802,6 +799,12 @@ class TestSimulatedAnneal:
         # read r is seeded seed + r, so a negative seed would fail inside numpy
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             simulated_anneal(quad_qubo, reads=5, seed=-1)
+
+    def test_pubo_refused_by_name(self, quad_pubo):
+        # brute_force and pubo_energy take either objective; the annealer needs the QUBO
+        with pytest.raises(TypeError, match="QuboMatrix, not a PseudoBooleanPolynomial; "
+                                            "quadratize it first"):
+            simulated_anneal(quad_pubo, reads=5, sweeps=5)
 
 
 class TestSolve:
@@ -968,11 +971,16 @@ class TestSolve:
 
 
 class TestAnnealSchedule:
-    def test_default_ladder_from_objective(self, quad_qubo):
-        t_hot, t_cold = AnnealSchedule().resolve(quad_qubo)
-        mags = np.abs(quad_qubo.matrix[quad_qubo.matrix != 0])
-        assert t_hot == mags.max() * quad_qubo.num_bits
-        assert t_cold == 1e-3 * mags.min()
+    def test_default_ladder_from_objective(self, quad_pubo, quad_qubo):
+        # the nonzero matrix entries, also where an aux-free QUBO keeps a
+        # hand-built source PUBO with an explicit 0.0 coefficient as its view
+        zero_term = PseudoBooleanPolynomial([[0, 1], [1, 2]], [0.0, 2.5], 1.0, 3)
+        assert quadratize(zero_term).pubo is zero_term
+        for qm in (quad_qubo, quadratize(quad_pubo), quadratize(zero_term)):
+            t_hot, t_cold = AnnealSchedule().resolve(qm)
+            mags = np.abs(qm.matrix[qm.matrix != 0])
+            assert t_hot == mags.max() * qm.num_bits
+            assert t_cold == 1e-3 * mags.min()
 
     def test_overrides(self, quad_qubo):
         assert AnnealSchedule(t_hot=9.0, t_cold=0.1).resolve(quad_qubo) == (9.0, 0.1)
