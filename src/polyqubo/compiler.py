@@ -20,16 +20,18 @@ planned once per such pair and kept (:func:`_index_plan`); each call does
 only the coefficient arithmetic over the plan.  :func:`sparsify` groups raw
 terms the same way.  :func:`quadratize` maps every term and penalty entry to
 a flat matrix cell and sums them with one ``np.bincount`` in term order, as a
-loop would.  A QUBO is a PUBO of terms of at most two bits
-(:attr:`QuboMatrix.pubo`), so :func:`pubo_energy` is the one evaluator of
-both: a bilinear form over products of term halves, a table built on first
-use by one scatter over the plan's or the matrix's halves (other polynomials
-group theirs), which gives a state the same energy alone as in any batch.
+loop would.  A QUBO is a PUBO of terms of at most two bits, its one view
+:attr:`QuboMatrix.pubo` read off the matrix, so :func:`pubo_energy` is the
+one evaluator of both: a bilinear form over products of term halves, tabled
+on first use by one scatter over the halves that the plan or the matrix
+gives (other polynomials group theirs), which gives a state the same energy
+alone as in any batch.
 
 Degree-1 systems take the same compiler: their PUBO terms have at most two
-bits, so quadratization adds no auxiliaries, and the QUBO keeps that PUBO as
-its view.  :func:`~polyqubo.solvers.solve` runs these stages for every system;
-:func:`compile_linear_qubo` runs them for a caller that wants the QUBO itself.
+bits, so quadratization adds no auxiliaries, and the QUBO's view is that
+PUBO term for term.  :func:`~polyqubo.solvers.solve` runs these stages for
+every system; :func:`compile_linear_qubo` runs them for a caller that wants
+the QUBO itself.
 """
 
 from __future__ import annotations
@@ -70,9 +72,12 @@ class PseudoBooleanPolynomial:
     view ``terms`` ({index tuple: coefficient}, in row order) is derived on
     first access.
 
-    Construction refuses a polynomial whose bound ``(|offset| + sum |c|) *
-    (terms + 1)`` is not finite: below it, no energy, partial sum or
-    :func:`choose_penalty` can overflow, whatever the summation order.
+    Construction refuses, by name, an index outside 0..``num_bits``, rows
+    wider than the largest term and a 0.0 coefficient; that the rows are
+    distinct and in order is taken on trust.  It also refuses a polynomial
+    whose bound ``(|offset| + sum |c|) * (terms + 1)`` is not finite: below
+    it, no energy, partial sum or :func:`choose_penalty` can overflow,
+    whatever the summation order.
     """
 
     rows: np.ndarray
@@ -85,6 +90,15 @@ class PseudoBooleanPolynomial:
             array = np.array(getattr(self, name), dtype=dtype)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        rows, num_bits = self.rows, self.num_bits
+        if rows.view(np.uintp).max(initial=0) > num_bits:  # unsigned, a negative is huge
+            row = rows[int(np.argmax(((rows < 0) | (rows > num_bits)).any(axis=1)))]
+            raise ValueError(f"row {row.tolist()} holds an index outside 0..{num_bits} (padding)")
+        if rows.shape[1] and rows[:, -1].min(initial=num_bits) == num_bits:  # all padding
+            raise ValueError(f"rows are {rows.shape[1]} wide but no term has {rows.shape[1]} bits")
+        if not self.coeffs.all():
+            term = list(self.terms)[int(np.argmin(self.coeffs != 0.0))]
+            raise ValueError(f"term {term} has coefficient 0.0; zero terms are left out")
         with np.errstate(over="ignore"):  # an infinite bound is refused by name
             total = float(np.abs(self.coeffs).sum())
         bound = (abs(self.offset) + total) * (len(self.coeffs) + 1)
@@ -106,11 +120,12 @@ class PseudoBooleanPolynomial:
 
     @cached_property
     def _half_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct term halves in use and the H x H matrix M of :func:`pubo_energy`;
-        a :func:`compile_pubo` output brings its terms' halves (``_plan_halves``)."""
+        """Distinct term halves in use and the H x H matrix M of :func:`pubo_energy`.
+        The halves are ``(halves, left, right)`` as :func:`_group_halves` gives them;
+        a :func:`compile_pubo` output or a QUBO's view brings its own (``_halves``)."""
         # with no terms, one padding column keeps the half products defined
         rows = self.rows if self.rows.shape[1] else np.full((0, 1), self.num_bits)
-        halves, left, right = vars(self).get("_plan_halves") or _group_halves(rows, self.num_bits)
+        halves, left, right = vars(self).get("_halves") or _group_halves(rows, self.num_bits)
         used = np.zeros(len(halves), dtype=bool)
         used[left] = used[right] = True
         position = np.cumsum(used) - 1
@@ -203,27 +218,17 @@ class QuboMatrix:
         """This QUBO as a PUBO: entry (i, i) is the term (i,) and (i, j) is (i, j).
         Row-major order, that of ``np.flatnonzero``, is tuple order.
 
-        Its half table (see :func:`pubo_energy`) comes straight from the
-        matrix: the halves are () if a diagonal entry is nonzero, then every
-        used bit in ascending order, and M is the matrix on those bits with
-        the diagonal moved to the () column.  A QUBO that :func:`quadratize`
-        gives with no auxiliary holds its source PUBO here instead, which is
-        this view term for term."""
+        Its term halves come straight from the matrix: () then every bit, in
+        tuple order, with (i,) split into (i) and () and (i, j) into (i) and
+        (j); :attr:`PseudoBooleanPolynomial._half_table` keeps those in use."""
         n = self.num_bits
         flat = np.flatnonzero(self.matrix)
         i, j = np.divmod(flat, max(n, 1))
         second = np.where(i < j, j, n)
         rows = np.stack([i, second], axis=1)[:, : 2 if (i < j).any() else min(len(flat), 1)]
         pubo = PseudoBooleanPolynomial(rows, self.matrix.ravel().take(flat), self.offset, n)
-        used = np.zeros(n + 1, dtype=bool)  # index n is ()
-        used[i] = used[second] = True
-        order = np.r_[n, :n]  # tuple order: () first
-        halves = order[used[order]]
-        position = np.zeros(n + 1, dtype=np.intp)
-        position[halves] = np.arange(len(halves))
-        pairs = np.zeros((len(halves), len(halves)))
-        pairs[position[i], position[second]] = pubo.coeffs
-        object.__setattr__(pubo, "_half_table", (halves[:, None], pairs))
+        halves = (np.arange(-1, n) % (n + 1))[:, None]  # (), as padding n, then each bit
+        object.__setattr__(pubo, "_halves", (halves, i + 1, np.where(i < j, j + 1, 0)))
         return pubo
 
     @property
@@ -277,7 +282,7 @@ def sparsify(raw_terms, num_bits: int) -> PseudoBooleanPolynomial:
     rows[np.arange(rows.shape[1]) < sizes[:, None]] = flat
     sets, inverse = _group_sets(rows, num_bits)
     coeffs = np.fromiter((c for _, c in items), dtype=float, count=len(items))
-    return _collect(sets, np.bincount(inverse, coeffs, minlength=len(sets)), num_bits)
+    return _collect(sets, np.bincount(inverse, coeffs, minlength=len(sets)), num_bits)[0]
 
 
 def _group_sets(rows: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,15 +328,15 @@ def _group_halves(rows: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarr
     return halves, inverse[: len(rows)], inverse[len(rows) :]
 
 
-def _collect(sets: np.ndarray, totals: np.ndarray, num_bits: int) -> PseudoBooleanPolynomial:
-    """Polynomial of grouped sets: the empty one (first) is the offset, zeros go."""
+def _collect(sets: np.ndarray, totals: np.ndarray, num_bits: int) -> tuple:
+    """Polynomial of grouped sets (the empty one, first, is the offset; zeros go)
+    and the indices of the sets it keeps as terms."""
     sizes = _set_sizes(sets, num_bits)
     keep = np.flatnonzero((totals != 0.0) & (sizes > 0))
     offset = float(totals[0]) if len(sizes) and not sizes[0] else 0.0
     width = int(sizes.take(keep).max(initial=0))
-    return PseudoBooleanPolynomial(
-        sets.take(keep, axis=0)[:, :width], totals.take(keep), offset, num_bits
-    )
+    rows = sets.take(keep, axis=0)[:, :width]
+    return PseudoBooleanPolynomial(rows, totals.take(keep), offset, num_bits), keep
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the PUBO refuses a non-finite term by name
@@ -396,9 +401,8 @@ def compile_pubo(system: PolynomialSystem, enc: BitEncoding) -> PseudoBooleanPol
         weights[pair] = (residual.take(left[pair], 0) * residual.take(right[pair], 0)).sum(1)
     weights[left != right] *= 2.0
     totals = np.bincount(union_of, weights)
-    pubo = _collect(unions, totals, num_bits)
-    kept = np.flatnonzero(totals[1:]) + 1  # the terms' unions; union 0 is the empty set
-    object.__setattr__(pubo, "_plan_halves", (halves, lower.take(kept), upper.take(kept)))
+    pubo, kept = _collect(unions, totals, num_bits)
+    object.__setattr__(pubo, "_halves", (halves, lower.take(kept), upper.take(kept)))
     return pubo
 
 
@@ -458,8 +462,8 @@ def quadratize(
 
     With no auxiliary, every term is a cell of the matrix, which
     ``np.bincount`` fills with that one coefficient exactly, so the QUBO's
-    PUBO view (:attr:`QuboMatrix.pubo`) would be ``pubo`` term for term, with
-    the same halves and M: it is ``pubo`` itself, not rebuilt from the matrix.
+    PUBO view (:attr:`QuboMatrix.pubo`) is ``pubo`` term for term, with the
+    same halves and M.
 
     Args:
         pubo: polynomial to reduce; terms larger than 4 are rejected since
@@ -517,10 +521,7 @@ def quadratize(
     ])
     # bincount adds every cell's contributions in sequence, as a loop would
     q = np.bincount(cells, values, minlength=size * size).reshape(size, size)
-    qm = QuboMatrix(q, pubo.offset, n_log, aux_pairs=np.stack([i, j], axis=1), penalty=c_pen)
-    if not num_aux:  # each term filled its own cell alone: the view is the source
-        qm.__dict__["pubo"] = pubo
-    return qm
+    return QuboMatrix(q, pubo.offset, n_log, aux_pairs=np.stack([i, j], axis=1), penalty=c_pen)
 
 
 def compile_linear_qubo(system: PolynomialSystem, enc: BitEncoding) -> QuboMatrix:
@@ -555,7 +556,7 @@ def pubo_energy(pubo: PseudoBooleanPolynomial | QuboMatrix, psi) -> float | np.n
     rather than BLAS, whose kernels change the summation order with a row's
     position in the block: this way a state's energy is the same bits
     however the batch is sliced.  A polynomial builds its halves and M on its
-    first evaluation, from its plan's halves if :func:`compile_pubo` made it.
+    first evaluation, from the halves of its plan or its QUBO if it has one.
     """
     pubo = pubo.pubo if isinstance(pubo, QuboMatrix) else pubo
     psi = np.asarray(psi)

@@ -67,10 +67,6 @@ class RegressionDataset:
         object.__setattr__(self, "y_mean", y_mean)
         object.__setattr__(self, "covariance", covariance)
 
-    @property
-    def num_points(self) -> int:
-        return self.x_grid.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:

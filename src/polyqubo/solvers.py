@@ -246,8 +246,7 @@ class AnnealSchedule:
     t_cold: float | None = None
 
     def resolve(self, qm: QuboMatrix) -> tuple[float, float]:
-        coeffs = qm.pubo.coeffs  # a hand-built PUBO kept as the view may hold a 0.0
-        mags = np.abs(coeffs[coeffs != 0])
+        mags = np.abs(qm.pubo.coeffs)
         t_hot, t_cold = self.t_hot, self.t_cold
         if t_hot is None:
             t_hot = float(mags.max()) * qm.num_bits if mags.size else 1.0

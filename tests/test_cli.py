@@ -506,6 +506,19 @@ class TestErrorPaths:
         assert "variables" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve-poly", QUAD_FIXTURE, "--lo", "a"], "--lo expects numbers, got 'a'"),
+        (["solve-linear", LINEAR, "--bits", "2", "--backend", "anneal", "--seed", "x"],
+         "argument --seed: expected an integer >= 0, got 'x'"),
+        (["sweep", "--kind", "size", "--sizes", "2,x", "--backend", "brute"],
+         "bad sweep value list '2,x'"),
+    ])
+    def test_unparsable_value_refused_by_name(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "report.json"
+        assert run(argv + ["--output", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_range_list_may_start_with_a_minus_sign(self, tmp_path):
         # argparse alone reads -1,-2,-3 as an unknown option, not as --lo's value
         reports = []

@@ -114,7 +114,7 @@ def add_at_quadratize(pubo, penalty, aux):
 def assert_plan_table_is_the_grouped_one(pubo):
     """A compile_pubo output's half table equals the one grouped from its rows."""
     grouped = PseudoBooleanPolynomial(pubo.rows, pubo.coeffs, pubo.offset, pubo.num_bits)
-    assert "_plan_halves" in vars(pubo) and "_plan_halves" not in vars(grouped)
+    assert "_halves" in vars(pubo) and "_halves" not in vars(grouped)
     for mine, theirs in zip(pubo._half_table, grouped._half_table):
         assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
         assert mine.tobytes() == theirs.tobytes()
@@ -224,6 +224,19 @@ class TestSparsify:
             sparsify({(0,): 1.0, (2, 1): value, (3,): np.nan}, num_bits=4)
         with pytest.raises(ValueError, match="offset"):
             sparsify([((), value), ((0,), 1.0)], num_bits=1)
+
+    @pytest.mark.parametrize("rows, coeffs, num_bits, message", [
+        ([[0, 5]], [-3.0], 2, r"row \[0, 5\] holds an index outside 0..2"),
+        ([[-1]], [1.0], 2, r"row \[-1\] holds an index outside 0..2"),
+        ([[0, 1, 3, 3, 3]], [1.0], 3, "rows are 5 wide but no term has 5 bits"),
+        (np.zeros((0, 1)), [], 2, "rows are 1 wide but no term has 1 bits"),
+        ([[0, 1], [1, 2]], [0.0, 2.5], 3, r"term \(0, 1\) has coefficient 0.0"),
+    ])
+    def test_malformed_polynomial_refused_by_name(self, rows, coeffs, num_bits, message):
+        # unrefused, [0, 5] on 2 bits would read as the term (0,), and a 0.0
+        # term is one that the view of the same polynomial's QUBO does not hold
+        with pytest.raises(ValueError, match=message):
+            PseudoBooleanPolynomial(rows, coeffs, 1.0, num_bits)
 
 
 class TestCompilePubo:
@@ -618,8 +631,8 @@ class TestQuadratize:
         aux=st.sampled_from(["lazy", "all"]),
     )
     def test_aux_free_qubo_keeps_its_pubo(self, seed, num_bits, source, aux):
-        # with no auxiliary the matrix's own view would be the source term for
-        # term, halves and M included, so the QUBO holds the source
+        # with no auxiliary the view read off the matrix is the source term
+        # for term, halves and M included, though not the same object
         rng = np.random.default_rng(seed)
         if source == "degree 1":
             num_vars = int(rng.integers(1, 4))
@@ -635,8 +648,8 @@ class TestQuadratize:
             pubo = sparsify(raw, num_bits=num_bits)
         aux = aux if pubo.num_bits <= 1 else "lazy"
         qm = quadratize(pubo, aux=aux)
-        assert qm.num_aux == 0 and qm.pubo is pubo
-        built = QuboMatrix(qm.matrix, qm.offset, qm.num_logical).pubo
+        assert qm.num_aux == 0
+        built = qm.pubo
         assert built is not pubo
         assert pubo.rows.shape == built.rows.shape
         assert pubo.rows.tobytes() == built.rows.tobytes()
@@ -675,6 +688,10 @@ class TestQuadratize:
             logical_aux = i < n_log <= j
             aux_diag = i == j and i >= n_log
             assert logical_pair or logical_aux or aux_diag
+
+    def test_unknown_aux_mode_refused_by_name(self):
+        with pytest.raises(ValueError, match="aux must be 'lazy' or 'all', got 'some'"):
+            quadratize(sparsify({(0, 1): 1.0}, num_bits=2), aux="some")
 
     def test_nonpositive_penalty_rejected(self):
         pubo = sparsify({(0, 1, 2): 1.0}, num_bits=3)
@@ -892,7 +909,7 @@ class TestEnergies:
     def test_qubo_is_evaluated_as_its_view(
         self, quad_system, quad_encoding, degree, aux, num_aux
     ):
-        # degree 1 gives an aux-free QUBO, whose view is its source PUBO
+        # degree 1 gives an aux-free QUBO, whose view is its source PUBO term for term
         system = PolynomialSystem(quad_system.coeffs[: degree + 1])
         qm = quadratize(compile_pubo(system, quad_encoding), aux=aux)
         assert qm.num_aux == num_aux

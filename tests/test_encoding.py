@@ -231,3 +231,15 @@ class TestValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
             BitEncoding([1.0, 1.0], [0.0], 2)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: BitEncoding([np.inf], [0.0], 2), "scale/offset contain non-finite entries"),
+        (lambda: BitEncoding([1.0], [0.0], 0), "bits must be >= 1, got 0"),
+        (lambda: nearest_bits(from_range(0.0, 3.0, 2, num_vars=2), [0.0]),
+         r"point has shape \(1,\), encoding expects \(2,\)"),
+        (lambda: refine(from_range(0.0, 3.0, 2, num_vars=2), [0.0, 0.0, 0.0]),
+         r"incumbent has shape \(3,\), encoding expects \(2,\)"),
+    ])
+    def test_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

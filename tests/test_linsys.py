@@ -81,6 +81,11 @@ class TestMakeRhs:
     def test_values(self, n, expected):
         np.testing.assert_allclose(make_rhs(n), expected, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_length_refused_by_name(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            make_rhs(n)
+
 
 class TestRelativeResidual:
     def test_exact_solution(self):

@@ -104,6 +104,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PolynomialSystem([])
 
+    @pytest.mark.parametrize("coeffs, message", [
+        ([[[1.0]]], r"coeffs\[0\] must be a vector of constants, got shape \(1, 1\)"),
+        ([[]], "system must have at least one equation"),
+    ])
+    def test_bad_constant_tensor_refused_by_name(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            PolynomialSystem(coeffs)
+
     def test_metadata(self, quad_system):
         assert quad_system.num_equations == 2
         assert quad_system.num_variables == 2

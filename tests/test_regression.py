@@ -201,6 +201,19 @@ class TestBasisSet:
         with pytest.raises(ValueError, match="basis functions"):
             BasisSet(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: RegressionDataset([0.0, 1.0], [1.0], np.eye(2)),
+         r"inconsistent dataset shapes: x \(2,\), y \(1,\), covariance \(2, 2\)"),
+        (lambda: RegressionDataset([0.0, 1.0], [1.0, 2.0], [[1.0, 0.5], [0.0, 1.0]]),
+         "covariance must be symmetric"),
+        (lambda: BasisSet([1.0, 2.0]), r"design matrix must be 2-D, got shape \(2,\)"),
+        (lambda: BasisSet([[1.0], [np.nan]]), "design matrix contains non-finite entries"),
+        (lambda: generate_dataset(0), "num_points must be >= 1, got 0"),
+    ])
+    def test_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestCsvRoundTrip:
     def test_save_load(self, tmp_path):

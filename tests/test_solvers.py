@@ -806,6 +806,12 @@ class TestSimulatedAnneal:
                                             "quadratize it first"):
             simulated_anneal(quad_pubo, reads=5, sweeps=5)
 
+    @pytest.mark.parametrize("counts, total_reads", [((2,), 3), ((2, 2), 3), ((), 1)])
+    def test_sample_set_counts_must_sum_to_reads(self, counts, total_reads):
+        records = tuple(SampleRecord((k,), float(k), c) for k, c in enumerate(counts))
+        with pytest.raises(ValueError, match="record counts do not sum to total_reads"):
+            SampleSet(records, total_reads=total_reads, rng_seed=0)
+
 
 class TestSolve:
     def test_brute_returns_enumeration_result(self, quad_system, quad_encoding):
@@ -972,11 +978,9 @@ class TestSolve:
 
 class TestAnnealSchedule:
     def test_default_ladder_from_objective(self, quad_pubo, quad_qubo):
-        # the nonzero matrix entries, also where an aux-free QUBO keeps a
-        # hand-built source PUBO with an explicit 0.0 coefficient as its view
-        zero_term = PseudoBooleanPolynomial([[0, 1], [1, 2]], [0.0, 2.5], 1.0, 3)
-        assert quadratize(zero_term).pubo is zero_term
-        for qm in (quad_qubo, quadratize(quad_pubo), quadratize(zero_term)):
+        # the nonzero matrix entries, also for an aux-free hand-built QUBO
+        aux_free = PseudoBooleanPolynomial([[0, 1], [1, 2]], [-0.5, 2.5], 1.0, 3)
+        for qm in (quad_qubo, quadratize(quad_pubo), quadratize(aux_free)):
             t_hot, t_cold = AnnealSchedule().resolve(qm)
             mags = np.abs(qm.matrix[qm.matrix != 0])
             assert t_hot == mags.max() * qm.num_bits
